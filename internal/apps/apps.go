@@ -100,10 +100,20 @@ func ensureBallast(ctx *vos.Context, app string, size int, scale float64) {
 	}
 	n := BallastBytes(app, size, scale)
 	buf := make([]byte, n)
-	for i := range buf {
+	fillBallast(buf)
+	ctx.Proc().SetRegion("data", buf)
+}
+
+// fillBallast sets buf[i] = byte(i*2654435761). That byte depends only
+// on i mod 256, so one period is computed and the filled prefix is then
+// doubled with copies.
+func fillBallast(buf []byte) {
+	for i := 0; i < len(buf) && i < 256; i++ {
 		buf[i] = byte(i * 2654435761)
 	}
-	ctx.Proc().SetRegion("data", buf)
+	for k := 256; k < len(buf); k *= 2 {
+		copy(buf[k:], buf[:k])
+	}
 }
 
 // f64Bytes flattens a float64 slice for serialization.

@@ -142,6 +142,20 @@ func runPovray(t *testing.T, size int, work float64) uint64 {
 	return r.progs[0].(*Povray).ChecksumValue()
 }
 
+// TestFillBallastPattern pins the ballast bytes to their defining
+// formula at sizes around the 256-byte period.
+func TestFillBallastPattern(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 513, 4096, 70001} {
+		buf := make([]byte, n)
+		fillBallast(buf)
+		for i, b := range buf {
+			if want := byte(i * 2654435761); b != want {
+				t.Fatalf("size %d: byte %d = %#x, want %#x", n, i, b, want)
+			}
+		}
+	}
+}
+
 func TestBallastShape(t *testing.T) {
 	for _, app := range []string{"cpi", "bt", "bratu"} {
 		b1 := BallastBytes(app, 1, 1.0)

@@ -102,7 +102,7 @@ type Image struct {
 	Net         *netckpt.NetImage
 	Procs       []ProcImage
 
-	sizeCache int64 // memoized Bytes(); images are immutable once built
+	sizeCache int64 // memoized Bytes(), seeded by Record; images are immutable once built
 }
 
 // CheckpointPod saves a suspended pod. The pod must be quiescent with
@@ -190,15 +190,22 @@ func (img *Image) Remap(remap map[netstack.IP]netstack.IP) {
 }
 
 // Bytes reports the logical serialized size of the image (the paper's
-// checkpoint image size, Figure 6c): the uncompressed field stream,
-// computed by encoding to a counting sink — the image is never
-// materialized. Per-frame compression shrinks the bytes on the wire
-// (StreamStats.Bytes), not this figure, so size-based invariants stay
-// comparable across frame versions. The value is memoized: images are
-// treated as immutable once the checkpoint completes.
+// checkpoint image size, Figure 6c): the uncompressed field stream, the
+// StreamStats.Raw of any encode. Per-frame compression shrinks the
+// bytes on the wire (StreamStats.Bytes), not this figure, so size-based
+// invariants stay comparable across frame versions.
+//
+// The value is memoized: images are treated as immutable once the
+// checkpoint completes. An image encoded by Record (every captured
+// image whose full record is written) has the memo seeded from that
+// encode and costs nothing here. An image never encoded — decoded from
+// a store, reconstructed from a chain — computes it on first call with
+// an uncompressed encode to a counting sink; nothing is compressed or
+// materialized. Which call sets the memo matters around Remap, which
+// can change the network section's size: the first figure sticks.
 func (img *Image) Bytes() int64 {
 	if img.sizeCache == 0 {
-		st, _ := img.EncodeStream(io.Discard) // io.Discard never errors
+		st, _ := img.EncodeStreamWith(io.Discard, imgfmt.StreamOpts{NoCompress: true}) // io.Discard never errors
 		img.sizeCache = st.Raw
 	}
 	return img.sizeCache

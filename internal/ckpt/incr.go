@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
@@ -401,9 +400,11 @@ func (t *Tracker) Rebase() {
 	t.lastSum = 0
 }
 
-// Pending is a captured-but-uncommitted checkpoint generation. The
-// record is never materialized inside the Pending: callers stream it to
-// their sink with Stream.
+// Pending is a captured-but-uncommitted checkpoint generation. Its
+// record — the full image for a full generation, the delta record
+// otherwise — is encoded once at capture; callers replay it to their
+// sink with Stream, read its figures with Stats, and Release its bytes
+// once it is durable.
 type Pending struct {
 	// Image is the materialized full image of this generation,
 	// regardless of record kind — restart never needs to reconstruct
@@ -411,43 +412,13 @@ type Pending struct {
 	Image *Image
 	// Delta is the incremental record, nil for a full generation.
 	Delta *DeltaImage
-	// stats memoizes the first successful Stream; the encoding is
-	// deterministic, so every sink observes the same bytes and checksum.
-	stats  *StreamStats
+	// Record holds the generation's record, encoded at capture.
+	*Record
 	commit func(sum uint32)
 }
 
 // Full reports whether this generation is a full image record.
 func (pn *Pending) Full() bool { return pn.Delta == nil }
-
-// Stream writes this generation's record — the full image for a full
-// generation, the delta record otherwise — to w in the version-2
-// chunked format. The encoding is deterministic, so Stream may be
-// called any number of times (for a store and for accounting) and every
-// call produces identical bytes.
-func (pn *Pending) Stream(w io.Writer) (StreamStats, error) {
-	var st StreamStats
-	var err error
-	if pn.Delta != nil {
-		st, err = pn.Delta.EncodeStream(w)
-	} else {
-		st, err = pn.Image.EncodeStream(w)
-	}
-	if err == nil && pn.stats == nil {
-		cp := st
-		pn.stats = &cp
-	}
-	return st, err
-}
-
-// Stats returns the record's size, peak-buffering, and checksum
-// figures, encoding to a counting sink if no Stream has run yet.
-func (pn *Pending) Stats() StreamStats {
-	if pn.stats == nil {
-		_, _ = pn.Stream(io.Discard) // cannot fail: io.Discard never errors
-	}
-	return *pn.stats
-}
 
 // Commit advances the tracker to this generation. Call exactly once,
 // only after the record is durable (the coordinated operation
@@ -557,8 +528,13 @@ func (t *Tracker) Capture(p *pod.Pod, workers int, full bool) (*Pending, error) 
 		lastProg[pi.VPID] = pi.ProgData
 	}
 	if full || t.last == nil {
+		rec, err := img.Record()
+		if err != nil {
+			return nil, err
+		}
 		return &Pending{
-			Image: img,
+			Image:  img,
+			Record: rec,
 			commit: func(sum uint32) {
 				t.seq = 0
 				t.sinceFull = 0
@@ -578,9 +554,14 @@ func (t *Tracker) Capture(p *pod.Pod, workers int, full bool) (*Pending, error) 
 		dirtyNames[proc.VPID] = names
 	}
 	d := buildDelta(img, t.last, t.lastProg, dirtyNames, t.seq+1, t.lastSum)
+	rec, err := d.Record()
+	if err != nil {
+		return nil, err
+	}
 	return &Pending{
-		Image: img,
-		Delta: d,
+		Image:  img,
+		Delta:  d,
+		Record: rec,
 		commit: func(sum uint32) {
 			t.seq++
 			t.sinceFull++

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"io"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
@@ -99,33 +98,8 @@ type PrecopyRecord struct {
 	Delta *DeltaImage
 	// Final marks the residual record captured with the pod quiesced.
 	Final bool
-	stats *StreamStats
-}
-
-// Stream writes the record to w in the version-2 chunked format. The
-// encoding is deterministic; repeated calls produce identical bytes.
-func (r *PrecopyRecord) Stream(w io.Writer) (StreamStats, error) {
-	var st StreamStats
-	var err error
-	if r.Delta != nil {
-		st, err = r.Delta.EncodeStream(w)
-	} else {
-		st, err = r.Image.EncodeStream(w)
-	}
-	if err == nil && r.stats == nil {
-		cp := st
-		r.stats = &cp
-	}
-	return st, err
-}
-
-// Stats returns the record's size/peak/checksum, encoding to a counting
-// sink if no Stream has run yet.
-func (r *PrecopyRecord) Stats() StreamStats {
-	if r.stats == nil {
-		_, _ = r.Stream(io.Discard) // io.Discard never errors
-	}
-	return *r.stats
+	// Record holds the record encoded once when the round was taken.
+	*Record
 }
 
 // Precopy drives one pod's iterative pre-copy checkpoint. BeginPrecopy
@@ -155,9 +129,13 @@ func BeginPrecopy(p *pod.Pod, workers int) (*Precopy, *PrecopyRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	encoded, err := img.Record()
+	if err != nil {
+		return nil, nil, err
+	}
 	pc := &Precopy{pod: p, workers: workers, marks: marks, last: img}
 	pc.lastProg = progFingerprints(img)
-	rec := &PrecopyRecord{Image: img}
+	rec := &PrecopyRecord{Image: img, Record: encoded}
 	pc.records = append(pc.records, rec)
 	return pc, rec, nil
 }
@@ -215,8 +193,7 @@ func (pc *Precopy) Round() (*PrecopyRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := pc.push(img, marks, false)
-	return rec, nil
+	return pc.push(img, marks, false)
 }
 
 // Finalize captures the residual record with the pod quiesced and its
@@ -232,20 +209,27 @@ func (pc *Precopy) Finalize() (*PrecopyRecord, error) {
 	for _, proc := range pc.pod.Procs() {
 		marks[proc.VPID] = proc.MemClock()
 	}
-	rec := pc.push(img, marks, true)
+	rec, err := pc.push(img, marks, true)
+	if err != nil {
+		return nil, err
+	}
 	pc.final = img
 	return rec, nil
 }
 
-// push diffs img against the previous round, appends the record, and
-// advances the driver's watermarks.
-func (pc *Precopy) push(img *Image, marks map[vos.PID]uint64, final bool) *PrecopyRecord {
+// push diffs img against the previous round, encodes and appends the
+// record, and advances the driver's watermarks.
+func (pc *Precopy) push(img *Image, marks map[vos.PID]uint64, final bool) (*PrecopyRecord, error) {
 	parentSum := pc.records[len(pc.records)-1].Stats().Sum
 	d := buildDelta(img, pc.last, pc.lastProg, pc.dirtyNames(), uint64(len(pc.records)), parentSum)
-	rec := &PrecopyRecord{Delta: d, Final: final}
+	encoded, err := d.Record()
+	if err != nil {
+		return nil, err
+	}
+	rec := &PrecopyRecord{Delta: d, Final: final, Record: encoded}
 	pc.records = append(pc.records, rec)
 	pc.marks = marks
 	pc.lastProg = progFingerprints(img)
 	pc.last = img
-	return rec
+	return rec, nil
 }

@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/coord"
@@ -613,11 +612,11 @@ type ckptAgent struct {
 	netTime     sim.Duration
 	saTime      sim.Duration
 	img         *ckpt.Image
-	pend        *ckpt.Pending    // incremental mode only; committed on success
-	pre         *ckpt.Precopy    // pre-copy mode only
-	preResent   int64            // bytes re-copied by live rounds after the base
-	preRounds   int              // live rounds taken (base included)
-	stats       ckpt.StreamStats // size/peak/checksum of the serialized record
+	rec         *ckpt.Record  // the record to flush, encoded once at capture; its Stats size the copy
+	pend        *ckpt.Pending // incremental mode only; committed on success
+	pre         *ckpt.Precopy // pre-copy mode only
+	preResent   int64         // bytes re-copied by live rounds after the base
+	preRounds   int           // live rounds taken (base included)
 	netBytes    int64
 	queueLen    int64
 	repolls     int64        // quiescence re-polls (exponential backoff)
@@ -638,6 +637,12 @@ func (op *ckptOp) abort(err error) {
 	op.aborted = true
 	op.m.dropOp(op)
 	op.m.w.Cancel(op.watchdog)
+	if op.dones < len(op.agents) {
+		// Past the last done-report the flush owns the records: staggered
+		// flush waves already scheduled still write them (and release
+		// each as it lands), aborted or not.
+		op.release()
+	}
 	// Graceful abort: resume every surviving pod.
 	for _, a := range op.agents {
 		if !a.pod.Destroyed() && !a.pod.Node().Failed() {
@@ -655,6 +660,27 @@ func (op *ckptOp) abort(err error) {
 	op.m.reg.Counter("ckpt_aborts_total").Add(1)
 	op.result.Err = err
 	op.onDone(op.result)
+}
+
+// release drops every agent's held record bytes once the operation has
+// ended: nothing streams them after that.
+func (op *ckptOp) release() {
+	for _, a := range op.agents {
+		a.release()
+	}
+}
+
+// release drops the agent's held record bytes: the record flushed at
+// the end of the operation and, in pre-copy mode, every live round's.
+func (a *ckptAgent) release() {
+	if a.rec != nil {
+		a.rec.Release()
+	}
+	if a.pre != nil {
+		for _, r := range a.pre.Records() {
+			r.Release()
+		}
+	}
 }
 
 func (op *ckptOp) checkFailure() bool {
@@ -882,6 +908,7 @@ func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error
 		fSpan.End(trace.Str("err", err.Error()))
 		return err
 	}
+	rec.Release() // durable: the bytes are not needed again
 	fSpan.End(trace.I64("bytes", rec.Stats().Bytes))
 	return nil
 }
@@ -946,11 +973,11 @@ func (a *ckptAgent) standalone() {
 			return
 		}
 		a.img = a.pre.FinalImage()
-		a.stats = rec.Stats()
+		a.rec = rec.Record
 		a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
 			trace.I64("workers", int64(workers)),
 			trace.I64("precopy_residual", 1))
-		bytes := costs.EffImageBytes(a.stats.Bytes)
+		bytes := costs.EffImageBytes(a.rec.Stats().Bytes)
 		cost := w.Jitter(precopyResidualFixed(costs), 0.25) +
 			costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
 		w.After(cost, func() {
@@ -959,10 +986,10 @@ func (a *ckptAgent) standalone() {
 			}
 			a.saTime = cost
 			a.saDone = true
-			a.saSpan.End(trace.I64("wire_bytes", a.stats.Bytes),
-				trace.I64("peak_buffered", a.stats.Peak))
-			a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.stats.Bytes)
-			a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.stats.Peak)
+			a.saSpan.End(trace.I64("wire_bytes", a.rec.Stats().Bytes),
+				trace.I64("peak_buffered", a.rec.Stats().Peak))
+			a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Stats().Bytes)
+			a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Stats().Peak)
 			a.maybeFinish()
 		})
 		return
@@ -975,7 +1002,7 @@ func (a *ckptAgent) standalone() {
 			return
 		}
 		a.pend = pend
-		a.stats = pend.Stats()
+		a.rec = pend.Record
 		img = pend.Image
 	} else {
 		var err error
@@ -984,14 +1011,12 @@ func (a *ckptAgent) standalone() {
 			a.op.abort(err)
 			return
 		}
-		// Size the record by streaming it to a counting sink; nothing is
-		// materialized, and the peak-buffering figure comes for free.
-		st, serr := img.EncodeStream(io.Discard)
-		if serr != nil {
-			a.op.abort(serr)
+		// Encode the record once, here: its size and peak buffering are
+		// needed now, and the flush replays the same bytes later.
+		if a.rec, err = img.Record(); err != nil {
+			a.op.abort(err)
 			return
 		}
-		a.stats = st
 	}
 	a.img = img
 	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
@@ -1003,7 +1028,7 @@ func (a *ckptAgent) standalone() {
 	// parallelism (per-process capture fans out across the pool). The
 	// fixed and copy components stay separate so the modeled worker
 	// lanes can start where the fixed prologue ends.
-	bytes := costs.EffImageBytes(a.stats.Bytes)
+	bytes := costs.EffImageBytes(a.rec.Stats().Bytes)
 	fixed := w.Jitter(costs.CheckpointFixed, 0.25)
 	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(img.Procs))
 	w.After(cost, func() {
@@ -1013,10 +1038,10 @@ func (a *ckptAgent) standalone() {
 		a.saTime = cost
 		a.saDone = true
 		a.emitWorkerLanes(saStart, fixed, workers)
-		a.saSpan.End(trace.I64("wire_bytes", a.stats.Bytes),
-			trace.I64("peak_buffered", a.stats.Peak))
-		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.stats.Bytes)
-		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.stats.Peak)
+		a.saSpan.End(trace.I64("wire_bytes", a.rec.Stats().Bytes),
+			trace.I64("peak_buffered", a.rec.Stats().Peak))
+		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Stats().Bytes)
+		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Stats().Peak)
 		a.maybeFinish()
 	})
 }
@@ -1152,7 +1177,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	a2 := a
 	total := sim.Duration(op.m.w.Now() - a2.began)
 	a.span.End(trace.I64("image_bytes", a.img.Bytes()),
-		trace.I64("wire_bytes", a.stats.Bytes))
+		trace.I64("wire_bytes", a.rec.Stats().Bytes))
 	op.m.reg.Histogram("ckpt_agent_total_ns").Observe(int64(total))
 	op.result.Stats.Agents = append(op.result.Stats.Agents, AgentStats{
 		Pod:                a.pod.Name(),
@@ -1163,8 +1188,8 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		ImageBytes:         a.img.Bytes(),
 		NetBytes:           a.netBytes,
 		NetQueueLen:        a.queueLen,
-		WireBytes:          a.stats.Bytes,
-		PeakBuffered:       a.stats.Peak,
+		WireBytes:          a.rec.Stats().Bytes,
+		PeakBuffered:       a.rec.Stats().Peak,
 		Incremental:        a.pend != nil && !a.pend.Full(),
 		SuspendWindow:      a.window,
 		PrecopyRounds:      a.preRounds,
@@ -1236,8 +1261,9 @@ func (op *ckptOp) flushAgent(ag *ckptAgent) {
 		op.result.Err = err
 		fSpan.End(trace.Str("err", err.Error()))
 	} else {
-		fSpan.End(trace.I64("bytes", ag.stats.Bytes))
+		fSpan.End(trace.I64("bytes", ag.rec.Stats().Bytes))
 	}
+	ag.release()
 }
 
 // flushStaggered flushes each top-level subtree's records in its own
@@ -1282,7 +1308,7 @@ func (op *ckptOp) flushStaggered() {
 		})
 		var bytes int64
 		for _, ag := range wave {
-			bytes += costs.EffImageBytes(ag.stats.Bytes)
+			bytes += costs.EffImageBytes(ag.rec.Stats().Bytes)
 		}
 		offset += costs.DiskTime(bytes)
 	}
@@ -1294,6 +1320,7 @@ func (op *ckptOp) flushStaggered() {
 // notification, and the caller's callback.
 func (op *ckptOp) finishOK() {
 	op.m.dropOp(op)
+	op.release()
 	op.plane.EmitLevelSpans(op.m.tr, op.span)
 	op.span.End(trace.Str("outcome", "ok"),
 		trace.I64("total_ns", int64(op.result.Stats.Total)))
@@ -1302,22 +1329,13 @@ func (op *ckptOp) finishOK() {
 	op.onDone(op.result)
 }
 
-// flushRecord streams one agent's record into the manager's store.
+// flushRecord replays one agent's record into the manager's store.
 func (op *ckptOp) flushRecord(path string, ag *ckptAgent) error {
 	wc, err := op.m.store.Create(path)
 	if err != nil {
 		return err
 	}
-	switch {
-	case ag.pre != nil:
-		recs := ag.pre.Records()
-		_, err = recs[len(recs)-1].Stream(wc)
-	case ag.pend != nil:
-		_, err = ag.pend.Stream(wc)
-	default:
-		_, err = ag.img.EncodeStream(wc)
-	}
-	if err != nil {
+	if _, err = ag.rec.Stream(wc); err != nil {
 		wc.Close()
 		return err
 	}

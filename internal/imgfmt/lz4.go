@@ -52,14 +52,16 @@ func hash4(u uint32) uint32 { return (u * 2654435761) >> (32 - hashLog) }
 
 func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
-// blockCompress compresses one frame payload, returning nil when the
-// frame is not worth compressing: too small to ever win, or the encoded
-// form would not be strictly smaller than the RAW form once the
-// compressed-length prefix is accounted for. Returning nil (not a
-// bigger block) IS the per-frame RAW/compressed decision: the encoder
-// stores exactly what this function hands back, so the choice is a pure
-// function of the payload bytes.
-func blockCompress(src []byte) []byte {
+// blockCompress compresses one frame payload into dst's storage
+// (reallocated when its capacity is below len(src); pass nil for a fresh
+// buffer), returning nil when the frame is not worth compressing: too
+// small to ever win, or the encoded form would not be strictly smaller
+// than the RAW form once the compressed-length prefix is accounted for.
+// Returning nil (not a bigger block) IS the per-frame RAW/compressed
+// decision: the encoder stores exactly what this function hands back,
+// so the choice is a pure function of the payload bytes — never of
+// what dst held before.
+func blockCompress(dst, src []byte) []byte {
 	n := len(src)
 	if n < minCompressSrc || n > MaxFrame {
 		return nil
@@ -68,7 +70,10 @@ func blockCompress(src []byte) []byte {
 	// len(dst) plus its uvarint length prefix (≤3 bytes for any frame
 	// under MaxFrame). Bail as soon as the win becomes impossible.
 	bound := n - 4
-	dst := make([]byte, 0, n)
+	if cap(dst) < n {
+		dst = make([]byte, 0, n)
+	}
+	dst = dst[:0]
 	var table [1 << hashLog]int32 // position+1 of a recent 4-byte sequence
 	anchor := 0                   // start of the pending literal run
 	misses := 0                   // consecutive failed probes, drives skip acceleration
@@ -233,9 +238,14 @@ func blockDecompress(src []byte, rawLen int) ([]byte, error) {
 		if len(dst)+ml > rawLen {
 			return nil, errors.New("lz4: match overruns declared raw size")
 		}
-		pos := len(dst) - offset
-		for k := 0; k < ml; k++ { // byte-wise: overlapping matches encode runs
-			dst = append(dst, dst[pos+k])
+		// Copy at most offset bytes per step: each step's source is
+		// already decoded, so an overlapping match (offset < ml, which
+		// encodes a run) repeats its period step by step.
+		for pos := len(dst) - offset; ml > 0; {
+			step := min(ml, offset)
+			dst = append(dst, dst[pos:pos+step]...)
+			pos += step
+			ml -= step
 		}
 	}
 }

@@ -84,6 +84,7 @@ type StreamEncoder struct {
 	version  int      // 0 bare section, 1 buffered legacy, 2/3 framed streaming
 	compress bool     // version 3 with the per-frame compression heuristic on
 	stack    [][]byte // stack[0] is the root buffer; deeper entries are open sections
+	cbuf     []byte   // compression output, reused across frames (version 3)
 	chunk    int
 	crc      uint32 // running CRC over header + logical payload (versions 2/3)
 	written  int64
@@ -217,8 +218,8 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 	}
 	stored, style := payload, byte(FrameRaw)
 	if s.compress {
-		if c := blockCompress(payload); c != nil {
-			stored, style = c, FrameLZ4
+		if c := blockCompress(s.cbuf, payload); c != nil {
+			s.cbuf, stored, style = c, c, FrameLZ4
 		}
 	}
 	var hdr [2*binary.MaxVarintLen64 + 1]byte
@@ -466,13 +467,14 @@ type StreamDecoder struct {
 	delta   bool
 	version int
 
-	r     io.Reader
-	win   []byte // verified-but-unconsumed payload window
-	off   int
-	crc   uint32 // running CRC over header + consumed payloads
-	fin   bool   // terminator seen and whole-stream CRC verified
-	frame int    // 1-based index of the frame being pulled, for errors
-	err   error
+	r      io.Reader
+	win    []byte // verified-but-unconsumed payload window
+	off    int
+	stored []byte // version-3 compressed frame bytes, reused across frames
+	crc    uint32 // running CRC over header + consumed payloads
+	fin    bool   // terminator seen and whole-stream CRC verified
+	frame  int    // 1-based index of the frame being pulled, for errors
+	err    error
 
 	peeked bool
 	ptag   uint64
@@ -559,58 +561,14 @@ func (d *StreamDecoder) avail() int { return len(d.win) - d.off }
 // pull reads, verifies, and appends the next frame to the window.
 // It returns false at the terminator or on error.
 func (d *StreamDecoder) pull() bool {
-	if d.err != nil || d.fin {
+	payload := d.next()
+	if payload == nil {
 		return false
 	}
-	n, _, err := readUvarintFrom(d.r)
-	if err != nil {
-		d.err = ErrTruncated
-		return false
+	if d.off == len(d.win) { // window drained: the frame becomes the window
+		d.win, d.off = payload, 0
+		return true
 	}
-	if n == 0 {
-		var sum [4]byte
-		if _, err := io.ReadFull(d.r, sum[:]); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		if binary.LittleEndian.Uint32(sum[:]) != d.crc {
-			d.err = fmt.Errorf("%w: stream trailer", ErrBadChecksum)
-			return false
-		}
-		d.fin = true
-		return false
-	}
-	if n > MaxFrame {
-		if d.version == StreamVersion3 {
-			d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
-		} else {
-			d.err = fmt.Errorf("%w: declared payload of %d bytes", ErrFrame, n)
-		}
-		return false
-	}
-	d.frame++
-	var payload []byte
-	if d.version == StreamVersion3 {
-		if payload = d.pullV3(int(n)); payload == nil {
-			return false
-		}
-	} else {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(d.r, payload); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		var tr [4]byte
-		if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tr[:]) {
-			d.err = fmt.Errorf("%w: chunk CRC", ErrBadChecksum)
-			return false
-		}
-	}
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, payload)
 	if d.off > 0 {
 		d.win = append(d.win[:0], d.win[d.off:]...)
 		d.off = 0
@@ -619,10 +577,72 @@ func (d *StreamDecoder) pull() bool {
 	return true
 }
 
+// next reads and verifies the next frame, returning its logical
+// payload — a fresh slice the decoder hands over, never shared with a
+// later frame — or nil at the terminator or on error. The payload has
+// already been folded into the whole-stream CRC.
+func (d *StreamDecoder) next() []byte {
+	if d.err != nil || d.fin {
+		return nil
+	}
+	n, _, err := readUvarintFrom(d.r)
+	if err != nil {
+		d.err = ErrTruncated
+		return nil
+	}
+	if n == 0 {
+		var sum [4]byte
+		if _, err := io.ReadFull(d.r, sum[:]); err != nil {
+			d.err = ErrTruncated
+			return nil
+		}
+		if binary.LittleEndian.Uint32(sum[:]) != d.crc {
+			d.err = fmt.Errorf("%w: stream trailer", ErrBadChecksum)
+			return nil
+		}
+		d.fin = true
+		return nil
+	}
+	if n > MaxFrame {
+		if d.version == StreamVersion3 {
+			d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
+		} else {
+			d.err = fmt.Errorf("%w: declared payload of %d bytes", ErrFrame, n)
+		}
+		return nil
+	}
+	d.frame++
+	var payload []byte
+	if d.version == StreamVersion3 {
+		if payload = d.pullV3(int(n)); payload == nil {
+			return nil
+		}
+	} else {
+		payload = make([]byte, n)
+		if _, err := io.ReadFull(d.r, payload); err != nil {
+			d.err = ErrTruncated
+			return nil
+		}
+		var tr [4]byte
+		if _, err := io.ReadFull(d.r, tr[:]); err != nil {
+			d.err = ErrTruncated
+			return nil
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tr[:]) {
+			d.err = fmt.Errorf("%w: chunk CRC", ErrBadChecksum)
+			return nil
+		}
+	}
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, payload)
+	return payload
+}
+
 // pullV3 reads the body of one version-3 frame whose raw length has
-// already been consumed, returning the logical payload or nil with
-// d.err set. Errors name the failing frame (1-based). The stored-byte
-// CRC is verified before any decompression runs.
+// already been consumed, returning the logical payload (freshly
+// allocated) or nil with d.err set. Errors name the failing frame
+// (1-based). The stored-byte CRC is verified before any decompression
+// runs. Compressed bytes land in a buffer reused across frames; they
+// are dead once decompressed.
 func (d *StreamDecoder) pullV3(rawLen int) []byte {
 	var one [1]byte
 	if _, err := io.ReadFull(d.r, one[:]); err != nil {
@@ -648,7 +668,15 @@ func (d *StreamDecoder) pullV3(rawLen int) []byte {
 		d.err = fmt.Errorf("%w: frame %d has unknown style %d", ErrFrame, d.frame, style)
 		return nil
 	}
-	stored := make([]byte, storedLen)
+	var stored []byte
+	if style == FrameRaw {
+		stored = make([]byte, storedLen)
+	} else {
+		if cap(d.stored) < storedLen {
+			d.stored = make([]byte, storedLen)
+		}
+		stored = d.stored[:storedLen]
+	}
 	if _, err := io.ReadFull(d.r, stored); err != nil {
 		d.err = ErrTruncated
 		return nil
@@ -791,23 +819,52 @@ func (d *StreamDecoder) header(wantTag uint64, wantType byte) error {
 }
 
 // lengthPrefixed consumes a length-prefixed value, returning a copy the
-// caller owns. The window only ever grows by CRC-verified frames, so a
-// lying length prefix fails with ErrTruncated before any allocation
+// caller owns. A value that fits the window is copied straight out of
+// it. A longer one gathers the CRC-verified payloads of the frames that
+// carry it, then copies them once into an exactly-sized slice — or
+// takes the one frame that carries exactly the value as it is. Either
+// way nothing is sized by the length prefix before the bytes arrived,
+// so a lying prefix fails with ErrTruncated before any allocation
 // larger than the data that actually arrived.
 func (d *StreamDecoder) lengthPrefixed() ([]byte, error) {
-	n, err := d.uvarint()
+	u, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > math.MaxInt32 {
+	if u > math.MaxInt32 {
 		return nil, ErrTruncated
 	}
-	if err := d.need(int(n)); err != nil {
-		return nil, err
+	n := int(u)
+	if n <= d.avail() {
+		v := append([]byte(nil), d.win[d.off:d.off+n]...)
+		d.off += n
+		return v, nil
 	}
-	v := append([]byte(nil), d.win[d.off:d.off+int(n)]...)
-	d.off += int(n)
-	return v, nil
+	parts := [][]byte{d.win[d.off:]}
+	have := d.avail()
+	d.win, d.off = nil, 0
+	for have < n {
+		p := d.next()
+		if p == nil {
+			if d.err != nil {
+				return nil, d.err
+			}
+			return nil, ErrTruncated
+		}
+		parts = append(parts, p)
+		have += len(p)
+	}
+	last := parts[len(parts)-1]
+	rest := have - n // bytes of the last frame past the value
+	if len(parts) == 2 && len(parts[0]) == 0 && rest == 0 {
+		return last, nil // the window stays empty, sharing nothing
+	}
+	d.win = last[len(last)-rest:]
+	v := make([]byte, 0, n)
+	for _, p := range parts[:len(parts)-1] {
+		v = append(v, p...)
+	}
+	return append(v, last[:len(last)-rest]...), nil
 }
 
 // Uint reads an unsigned integer field with the given tag.

@@ -2,8 +2,11 @@ package imgfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -275,7 +278,7 @@ func TestLZ4BlockRoundTrip(t *testing.T) {
 		}(),
 	}
 	for name, src := range cases {
-		c := blockCompress(src)
+		c := blockCompress(nil, src)
 		if c == nil {
 			t.Fatalf("%s: compressible payload declined", name)
 		}
@@ -290,10 +293,10 @@ func TestLZ4BlockRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch", name)
 		}
 	}
-	if c := blockCompress(incompressible(3, 4096)); c != nil {
+	if c := blockCompress(nil, incompressible(3, 4096)); c != nil {
 		t.Fatalf("noise accepted for compression (%d bytes)", len(c))
 	}
-	if c := blockCompress([]byte("tiny")); c != nil {
+	if c := blockCompress(nil, []byte("tiny")); c != nil {
 		t.Fatal("sub-threshold payload accepted for compression")
 	}
 }
@@ -316,7 +319,7 @@ func TestLZ4DecompressHostile(t *testing.T) {
 		}
 	}
 	// A valid block lying about its raw length must be caught.
-	c := blockCompress(sparse(1024))
+	c := blockCompress(nil, sparse(1024))
 	if c == nil {
 		t.Fatal("seed block did not compress")
 	}
@@ -325,5 +328,47 @@ func TestLZ4DecompressHostile(t *testing.T) {
 	}
 	if _, err := blockDecompress(c, 1025); err == nil {
 		t.Fatal("long raw length accepted")
+	}
+}
+
+// rawFrameV3 appends one well-formed version-3 RAW frame.
+func rawFrameV3(dst, payload []byte) []byte {
+	dst = appendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, FrameRaw)
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// TestV3LyingFieldBoundedAlloc: a field declaring 1 GiB, followed by one
+// real full-size frame and a valid terminator, must fail with
+// ErrTruncated — and the decoder may allocate only a small multiple of
+// the bytes that actually arrived, never anything sized by the prefix.
+func TestV3LyingFieldBoundedAlloc(t *testing.T) {
+	head := appendUvarint(nil, 5) // tag
+	head = append(head, TypeBytes)
+	head = appendUvarint(head, 1<<30) // claims 1 GiB
+	body := incompressible(9, DefaultChunk)
+	wire := appendUvarint([]byte(Magic), StreamVersion3)
+	wire = rawFrameV3(wire, head)
+	wire = rawFrameV3(wire, body)
+	crc := crc32.Update(0, crc32.IEEETable, wire[:len(Magic)+1])
+	crc = crc32.Update(crc, crc32.IEEETable, head)
+	crc = crc32.Update(crc, crc32.IEEETable, body)
+	wire = binary.LittleEndian.AppendUint32(append(wire, 0), crc)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := NewStreamDecoder(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Bytes(5)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("want ErrTruncated, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(wire)) {
+		t.Fatalf("decoder allocated %d bytes for a %d-byte stream", alloc, len(wire))
 	}
 }

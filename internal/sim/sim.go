@@ -126,12 +126,15 @@ func (w *World) At(t Time, fn func()) EventID {
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event is a no-op. The event's callback is dropped
+// at once, so whatever it captured can be collected without waiting
+// for the dead entry to reach the head of the queue.
 func (w *World) Cancel(id EventID) {
 	if id.ev == nil || id.ev.dead {
 		return
 	}
 	id.ev.dead = true
+	id.ev.fn = nil
 }
 
 // Step runs the next pending event, advancing the clock. It reports false
@@ -145,8 +148,9 @@ func (w *World) Step() bool {
 		if ev.when > w.now {
 			w.now = ev.when
 		}
-		ev.dead = true
-		ev.fn()
+		fn := ev.fn
+		ev.dead, ev.fn = true, nil
+		fn()
 		return true
 	}
 	return false
