@@ -6,15 +6,17 @@ BENCH_OUT ?= BENCH_ckpt.json
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check cover bench benchdiff trace-check examples clean
+.PHONY: ci fmt vet build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check cover bench benchdiff examples clean
 
 # Full CI gate: static checks, a clean build, the race-enabled suite,
 # the pre-copy live-checkpoint scenario under the race detector, short
-# fuzzing of the image-format decoders, trace determinism, the chaos
-# fuzzer sweep + corpus replay gate, the dedup-store layout gate, the
-# coordination-tree scaling gate, the observability/availability gate,
-# the warm-standby replication gate, and coverage totals.
-ci: fmt vet build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check cover
+# fuzzing of the image-format decoders and the dedup manifest parser,
+# the chaos fuzzer sweep + corpus replay gate, the dedup-store layout
+# gate, the coordination-tree scaling gate, the observability and trace
+# determinism gate, the warm-standby replication gate, coverage totals,
+# and one benchdiff comparison against the recorded trajectory (its
+# coordination-barrier, RTO and standby checks included).
+ci: fmt vet build race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check cover benchdiff
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -38,8 +40,9 @@ race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
-# point (TLV decoder, round-trip property, full+delta image decoder).
-# Raise FUZZTIME for a real fuzzing session.
+# point (TLV decoder, round-trip property, full+delta image decoder) and
+# the dedup store's manifest parser. Raise FUZZTIME for a real fuzzing
+# session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -47,15 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTripV3$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
-
-# Trace determinism gate: the traced crash-and-failover scenario run
-# twice with the same seed must export byte-identical JSONL event logs.
-trace-check:
-	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/a.jsonl -trace $$dir/a.json >/dev/null && \
-	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/b.jsonl -trace $$dir/b.json >/dev/null && \
-	cmp $$dir/a.jsonl $$dir/b.jsonl && echo "trace-check: deterministic ($$(wc -l < $$dir/a.jsonl) events)"; \
-	st=$$?; rm -rf $$dir; exit $$st
+	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/imagestore
 
 # Chaos gate: the seeded fault-schedule fuzzer under -race (schedule
 # determinism, composition coverage, and the recovery invariant over a
@@ -83,27 +78,27 @@ dedup-check:
 
 # Coordination-tree scaling gate: the topology unit suite, the
 # cross-topology bit-identity property, and the full 1024-pod scaling
-# point (flat star vs fan-out-16 tree), all under -race, then the
-# benchdiff coordination-barrier comparison against the recorded
-# trajectory.
+# point (flat star vs fan-out-16 tree), all under -race. The benchdiff
+# coordination-barrier comparison runs once at the end of ci.
 scale-check:
 	$(GOTEST) ./internal/coord
 	$(GOTEST) -run '^TestCoordCrossTopologyBitIdentity$$|^TestCoordScalingSublinear$$' .
 	ZAPC_SCALE=1 $(GOTEST) -timeout 30m -run '^TestCoordScaling1024$$' .
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # Observability gate: the trace-analyzer and metric-naming unit suites
 # under -race, the failover RTO/RPO scenario gates (determinism, bench
-# stamping, naming lint over the canonical scenario), byte-determinism
-# of the critical-path render across two same-seed runs, a strict
-# dangling-span check on the canonical trace, and the benchdiff RTO
-# comparison against the recorded trajectory.
+# stamping, naming lint over the canonical scenario), trace determinism
+# (two same-seed runs of the traced crash-and-failover scenario export
+# byte-identical JSONL event logs and render byte-identical critical
+# paths), and a strict dangling-span check on the canonical trace. The
+# benchdiff RTO comparison runs once at the end of ci.
 obs-check:
-	$(GOTEST) -run '^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestLegacyAliases|^TestWriteProm' ./internal/trace
+	$(GOTEST) -run '^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestWriteProm' ./internal/trace
 	$(GOTEST) -run '^TestFailoverRTO|^TestMetricNamesConform$$' .
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/a.jsonl -trace $$dir/a.json >/dev/null && \
 	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/b.jsonl -trace $$dir/b.json >/dev/null && \
+	cmp $$dir/a.jsonl $$dir/b.jsonl && echo "obs-check: trace deterministic ($$(wc -l < $$dir/a.jsonl) events)" && \
 	$(GO) run ./cmd/zapc-inspect -trace -strict $$dir/a.jsonl >/dev/null && \
 	$(GO) run ./cmd/zapc-inspect -critpath -rto $$dir/a.jsonl > $$dir/a.txt && \
 	$(GO) run ./cmd/zapc-inspect -critpath -rto $$dir/b.jsonl > $$dir/b.txt && \
@@ -111,20 +106,18 @@ obs-check:
 	sed "s,$$dir/b,TRACE," $$dir/b.txt > $$dir/b.norm && \
 	cmp $$dir/a.norm $$dir/b.norm && echo "obs-check: critical-path render deterministic ($$(wc -l < $$dir/a.norm) lines)"; \
 	st=$$?; rm -rf $$dir; exit $$st
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # Warm-standby replication gate: the plane's unit suite (shipping,
 # CRC-verified apply, watermark resume, promotion handover), the
 # supervisor's ack-pinned GC scenario, and the end-to-end standby
 # scenarios — promoted-vs-store speedup floor, cross-path result
 # equivalence, shadow byte-identity, trace determinism, and the
-# standby_* metric lint — all under -race, then the benchdiff gate
-# holding the recorded standby RTO and speedup floor.
+# standby_* metric lint — all under -race. The benchdiff gate holding
+# the recorded standby RTO and speedup floor runs once at the end of ci.
 standby-check:
 	$(GOTEST) ./internal/standby
 	$(GOTEST) -run '^TestGCPinsUnackedGenerations$$' ./internal/supervisor
 	$(GOTEST) -timeout 20m -run '^TestStandby' .
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # Coverage profile plus per-package totals.
 cover:

@@ -34,8 +34,9 @@ type CkptPipelineRow struct {
 	DeltaBytes     int64
 	BytesReduction float64
 
-	// Host wall-clock serialization throughput of the parallel encoder
-	// over the run's images (MiB/s), and total harness wall time.
+	// Host wall-clock throughput of the production (version-3) stream
+	// encoder over the run's images, in logical MiB/s, and total
+	// harness wall time.
 	EncodeMBps float64
 	Wall       time.Duration
 
@@ -237,11 +238,12 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 	}
 
 	// --- Host wall-clock encoder throughput over the parallel arm's
-	// images: decode once, then time repeated parallel re-encodes.
+	// images: decode once, then time repeated production stream encodes
+	// over the logical bytes they carry.
 	var images []*ckpt.Image
 	var totalBytes int64
 	for _, rec := range records {
-		img, err := ckpt.DecodeImageWith(rec, workers)
+		img, err := ckpt.DecodeImage(rec)
 		if err != nil {
 			return row, err
 		}
@@ -250,20 +252,26 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 		row.Procs += len(img.Procs)
 	}
 	const reps = 8
+	var logical int64
 	encStart := time.Now()
 	for r := 0; r < reps; r++ {
 		for _, img := range images {
-			img.EncodeParallel(workers)
+			st, err := img.EncodeStream(io.Discard)
+			if err != nil {
+				return row, err
+			}
+			logical += st.Raw
 		}
 	}
 	if el := time.Since(encStart).Seconds(); el > 0 {
-		row.EncodeMBps = float64(totalBytes*reps) / (1 << 20) / el
+		row.EncodeMBps = float64(logical) / (1 << 20) / el
 	}
 
 	// --- Compressed-vs-RAW frame pricing: stream-encode the same images
 	// with compression disabled, then decode both record sets back.
-	// Throughputs are over the respective wire bytes, so the four
-	// figures are directly comparable to EncodeMBps.
+	// These three throughputs are over the wire bytes each side writes
+	// or reads; a RAW record's wire bytes are its logical bytes plus
+	// framing.
 	var rawRecords [][]byte
 	var rawBytes int64
 	for _, img := range images {
@@ -289,7 +297,7 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 		t0 := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, rec := range recs {
-				if _, err := ckpt.DecodeImageWith(rec, workers); err != nil {
+				if _, err := ckpt.DecodeImage(rec); err != nil {
 					return 0, err
 				}
 			}

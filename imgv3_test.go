@@ -7,9 +7,10 @@ package zapc_test
 //   - a churn workload's incremental generations land in the dedup
 //     store at least 30% smaller than the same records encoded with the
 //     uncompressed version-2 framing;
-//   - a chain whose records span all three on-disk format versions
-//     (v1 base, v2 delta, v3 delta) reconstructs byte-identically to
-//     the materialized image and restarts to the exact uninterrupted
+//   - the frozen chain whose records span all three on-disk format
+//     versions (v1 base, v2 delta, v3 delta) reconstructs to the same
+//     image as its all-v3 twin, and a flushed chain reconstructs to the
+//     materialized image and restarts to the exact uninterrupted
 //     result;
 //   - the encoded bytes are a pure function of the logical image —
 //     identical across worker counts, across streaming vs. buffered
@@ -17,9 +18,12 @@ package zapc_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"zapc"
@@ -52,13 +56,69 @@ func grabStored(t *testing.T, st zapc.ImageStore, prefix string) map[string][]by
 	return out
 }
 
+// rawOf is the byte-for-byte comparison form of an image: a version-3
+// encode with every frame stored RAW.
+func rawOf(img *ckpt.Image) []byte {
+	var b bytes.Buffer
+	img.EncodeStreamWith(&b, imgfmt.StreamOpts{NoCompress: true}) // a bytes.Buffer never fails
+	return b.Bytes()
+}
+
+// frozenRecord reads one of the golden records of every format version
+// kept in internal/ckpt/testdata/formats (its README says how each was
+// made).
+func frozenRecord(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("internal", "ckpt", "testdata", "formats", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// v2Of transcodes a version-3 record whose frames are all RAW (a
+// NoCompress encode) into the uncompressed version-2 framing: the same
+// frames without their style byte, under a version-2 header and the
+// whole-stream CRC that header implies. The version-2 encoder cut its
+// frames at the same points, so this reproduces its output byte for
+// byte; TestV2TranscoderReproducesFixtures holds it to the frozen
+// version-2 records.
+func v2Of(t *testing.T, v3 []byte) []byte {
+	t.Helper()
+	hdr := len(imgfmt.Magic)
+	if len(v3) <= hdr || v3[hdr] != imgfmt.StreamVersion3 {
+		t.Fatal("v2Of: not a version-3 record")
+	}
+	out := append(append([]byte(nil), v3[:hdr]...), imgfmt.StreamVersion)
+	sum := crc32.ChecksumIEEE(out)
+	rest := v3[hdr+1:]
+	for {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 {
+			t.Fatal("v2Of: malformed frame")
+		}
+		if n == 0 { // terminator
+			return binary.LittleEndian.AppendUint32(append(out, 0), sum)
+		}
+		end := k + 1 + int(n) + 4 // length, style, payload, CRC
+		if len(rest) < end || rest[k] != imgfmt.FrameRaw {
+			t.Fatal("v2Of: not a RAW frame")
+		}
+		payload := rest[k+1 : k+1+int(n)]
+		out = append(out, rest[:k]...)
+		out = append(out, rest[k+1:end]...) // payload and its CRC
+		sum = crc32.Update(sum, crc32.IEEETable, payload)
+		rest = rest[end:]
+	}
+}
+
 // reencodeV2 decodes one flushed record (full image or delta) and
 // re-encodes it with the uncompressed version-2 framing, returning the
 // v2 wire size — the bytes the same generation cost before this format
 // version existed.
 func reencodeV2(t *testing.T, path string, data []byte) int64 {
 	t.Helper()
-	v2 := imgfmt.StreamOpts{Version: imgfmt.StreamVersion}
+	raw := imgfmt.StreamOpts{NoCompress: true}
 	var buf bytes.Buffer
 	if _, delta, err := imgfmt.SniffVersion(data); err != nil {
 		t.Fatalf("%s: %v", path, err)
@@ -67,19 +127,47 @@ func reencodeV2(t *testing.T, path string, data []byte) int64 {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if _, err := d.EncodeStreamWith(&buf, v2); err != nil {
+		if _, err := d.EncodeStreamWith(&buf, raw); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		img, err := ckpt.DecodeImageFrom(bytes.NewReader(data), 4)
+		img, err := ckpt.DecodeImageFrom(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if _, err := img.EncodeStreamWith(&buf, v2); err != nil {
+		if _, err := img.EncodeStreamWith(&buf, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return int64(buf.Len())
+	return int64(len(v2Of(t, buf.Bytes())))
+}
+
+// TestV2TranscoderReproducesFixtures holds v2Of to the bytes the
+// retired version-2 encoder wrote: transcoding the v3 twins of the
+// frozen full image and delta (the delta re-linked to each parent it
+// was frozen with) gives full.v2, delta.v2 and mixed1.v2 exactly.
+func TestV2TranscoderReproducesFixtures(t *testing.T) {
+	img, err := ckpt.DecodeImage(frozenRecord(t, "full.v3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v2Of(t, rawOf(img)); !bytes.Equal(got, frozenRecord(t, "full.v2")) {
+		t.Fatal("transcoded full image differs from full.v2")
+	}
+	d, err := ckpt.DecodeDelta(frozenRecord(t, "delta.v3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, parent := range map[string]string{"delta.v2": "full.v2", "mixed1.v2": "full.v1"} {
+		d.ParentSum = crc32.ChecksumIEEE(frozenRecord(t, parent))
+		var buf bytes.Buffer
+		if _, err := d.EncodeStreamWith(&buf, imgfmt.StreamOpts{NoCompress: true}); err != nil {
+			t.Fatal(err)
+		}
+		if got := v2Of(t, buf.Bytes()); !bytes.Equal(got, frozenRecord(t, want)) {
+			t.Fatalf("transcoded delta differs from %s", want)
+		}
+	}
 }
 
 // TestV3ChurnStoredBytesReduction pins the headline storage win: with
@@ -134,12 +222,30 @@ func TestV3ChurnStoredBytesReduction(t *testing.T) {
 }
 
 // TestMixedVersionChainRestore proves every format version decodes
-// forever and chains compose across them: a base written in the
-// version-1 TLV format, a delta in the version-2 chunked framing, and a
-// delta in version-3 compressed frames reconstruct byte-identically to
-// the materialized image, and a restart from that chain reproduces the
-// exact uninterrupted result.
+// forever and chains compose across them: the frozen chain of a base in
+// the version-1 TLV format, a delta in the version-2 chunked framing
+// and a delta in version-3 compressed frames — each linked to the
+// bytes its parent has on disk — reconstructs to the same image as its
+// all-v3 twin. The flushed chain of a live job reconstructs to the
+// materialized image, and a restart reproduces the exact uninterrupted
+// result.
 func TestMixedVersionChainRestore(t *testing.T) {
+	mixed, err := ckpt.ReconstructChain([][]byte{
+		frozenRecord(t, "full.v1"), frozenRecord(t, "mixed1.v2"), frozenRecord(t, "mixed2.v3"),
+	})
+	if err != nil {
+		t.Fatalf("mixed-version chain: %v", err)
+	}
+	twin, err := ckpt.ReconstructChain([][]byte{
+		frozenRecord(t, "full.v3"), frozenRecord(t, "delta.v3"), frozenRecord(t, "delta2.v3"),
+	})
+	if err != nil {
+		t.Fatalf("v3 chain: %v", err)
+	}
+	if !bytes.Equal(rawOf(mixed), rawOf(twin)) {
+		t.Fatal("mixed v1/v2/v3 chain differs from its all-v3 twin")
+	}
+
 	const seed = 17
 	want := refFor(t, seed, churnSpec())
 
@@ -168,56 +274,20 @@ func TestMixedVersionChainRestore(t *testing.T) {
 	}
 	final := results[len(results)-1]
 	for vip, img := range final.Images {
-		pod := img.PodName
-		// Record 0: the flushed v3 base, transcoded to the v1 format.
-		base, err := c.FS.ReadFile(fmt.Sprintf("mix/g0/%s.img", pod))
+		var chain [][]byte
+		for i, ext := range []string{"img", "delta", "delta"} {
+			rec, err := c.FS.ReadFile(fmt.Sprintf("mix/g%d/%s.%s", i, img.PodName, ext))
+			if err != nil {
+				t.Fatalf("pod %v: %v", vip, err)
+			}
+			chain = append(chain, rec)
+		}
+		rebuilt, err := ckpt.ReconstructChain(chain)
 		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
+			t.Fatalf("pod %v: chain: %v", vip, err)
 		}
-		baseImg, err := ckpt.DecodeImageFrom(bytes.NewReader(base), 4)
-		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
-		}
-		v1 := baseImg.Encode()
-		// Record 1: the first delta, transcoded to the v2 framing. A
-		// real mixed-version writer computes ParentSum over the bytes
-		// its parent actually has on disk, so the link is rewritten to
-		// the v1 base encoding.
-		d1, err := c.FS.ReadFile(fmt.Sprintf("mix/g1/%s.delta", pod))
-		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
-		}
-		delta1, err := ckpt.DecodeDeltaFrom(bytes.NewReader(d1))
-		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
-		}
-		delta1.ParentSum = crc32.ChecksumIEEE(v1)
-		var v2 bytes.Buffer
-		if _, err := delta1.EncodeStreamWith(&v2, imgfmt.StreamOpts{Version: imgfmt.StreamVersion}); err != nil {
-			t.Fatal(err)
-		}
-		// Record 2: the second delta in v3 frames, re-linked to the v2
-		// parent the same way.
-		d2, err := c.FS.ReadFile(fmt.Sprintf("mix/g2/%s.delta", pod))
-		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
-		}
-		delta2, err := ckpt.DecodeDeltaFrom(bytes.NewReader(d2))
-		if err != nil {
-			t.Fatalf("pod %v: %v", vip, err)
-		}
-		delta2.ParentSum = crc32.ChecksumIEEE(v2.Bytes())
-		var v3 bytes.Buffer
-		if _, err := delta2.EncodeStream(&v3); err != nil {
-			t.Fatal(err)
-		}
-
-		rebuilt, err := ckpt.ReconstructChain([][]byte{v1, v2.Bytes(), v3.Bytes()})
-		if err != nil {
-			t.Fatalf("pod %v: mixed-version chain: %v", vip, err)
-		}
-		if !bytes.Equal(rebuilt.Encode(), img.Encode()) {
-			t.Fatalf("pod %v: mixed v1/v2/v3 chain differs from the materialized image", vip)
+		if !bytes.Equal(rawOf(rebuilt), rawOf(img)) {
+			t.Fatalf("pod %v: flushed chain differs from the materialized image", vip)
 		}
 	}
 	if _, err := c.Restart(job, final, c.Nodes); err != nil {
@@ -227,7 +297,7 @@ func TestMixedVersionChainRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := job.Result(); got != want {
-		t.Fatalf("restart from mixed-version chain gave %v, uninterrupted run gave %v", got, want)
+		t.Fatalf("restart from the chain gave %v, uninterrupted run gave %v", got, want)
 	}
 }
 
@@ -292,15 +362,15 @@ func TestV3CrossConfigBitIdentity(t *testing.T) {
 		if buf.Len() >= raw1.Len() {
 			t.Fatalf("%s: compressed record (%d B) not smaller than RAW (%d B)", path, buf.Len(), raw1.Len())
 		}
-		fromC, err := ckpt.DecodeImageFrom(bytes.NewReader(flushed[path]), 4)
+		fromC, err := ckpt.DecodeImageFrom(bytes.NewReader(flushed[path]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromR, err := ckpt.DecodeImageFrom(bytes.NewReader(raw1.Bytes()), 4)
+		fromR, err := ckpt.DecodeImageFrom(bytes.NewReader(raw1.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fromC.Encode(), fromR.Encode()) {
+		if !bytes.Equal(rawOf(fromC), rawOf(fromR)) {
 			t.Fatalf("%s: compressed and RAW records decode to different images", path)
 		}
 	}

@@ -315,7 +315,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := img.Encode()
+	data := wire(t, img.EncodeStream)
 	got, err := DecodeImage(data)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +365,7 @@ func TestComputeRestoreContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := img.Encode()
+	data := wire(t, img.EncodeStream)
 	p.Destroy()
 
 	img2, err := DecodeImage(data)
@@ -443,7 +443,7 @@ func runStream(t *testing.T, total uint32, interrupt bool) uint64 {
 		}
 		// Serialize through the portable format, as a real migration
 		// would.
-		bytesA, bytesB := imgA.Encode(), imgB.Encode()
+		bytesA, bytesB := wire(t, imgA.EncodeStream), wire(t, imgB.EncodeStream)
 		podA.Destroy()
 		podB.Destroy()
 

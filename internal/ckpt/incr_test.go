@@ -126,10 +126,10 @@ func TestApplyDeltaMatchesFullCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt.Encode(), full.Encode()) {
+	if !bytes.Equal(rawOf(rebuilt), rawOf(full)) {
 		t.Fatal("base+delta reconstruction differs from a full checkpoint")
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !bytes.Equal(rawOf(pend.Image), rawOf(full)) {
 		t.Fatal("Pending.Image differs from a full checkpoint")
 	}
 	// The removed region must be gone from the reconstruction.
@@ -178,7 +178,7 @@ func TestInPlaceMutationCaughtBySafetyNet(t *testing.T) {
 	if !found {
 		t.Fatal("in-place write missed by the delta")
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !bytes.Equal(rawOf(pend.Image), rawOf(full)) {
 		t.Fatal("delta generation diverged from full checkpoint")
 	}
 }
@@ -219,7 +219,7 @@ func TestReconstructChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt.Encode(), full.Encode()) {
+	if !bytes.Equal(rawOf(rebuilt), rawOf(full)) {
 		t.Fatal("chain reconstruction differs from full checkpoint")
 	}
 
@@ -332,7 +332,7 @@ func TestProcessExitProducesRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !bytes.Equal(rawOf(pend.Image), rawOf(full)) {
 		t.Fatal("post-exit delta generation diverged from full checkpoint")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"zapc/internal/memfs"
@@ -76,46 +77,8 @@ func TestParallelCheckpointMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !bytes.Equal(seq.Encode(), par.Encode()) {
+		if !bytes.Equal(rawOf(seq), rawOf(par)) {
 			t.Fatalf("workers=%d: parallel capture differs from sequential", workers)
-		}
-	}
-}
-
-func TestEncodeParallelByteIdentical(t *testing.T) {
-	c := mkCluster(t, 1)
-	p := mkBusyPod(t, c, "enc", 0, 5)
-	img, err := CheckpointPod(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := img.EncodeParallel(1)
-	for _, workers := range []int{0, 2, 3, 8} {
-		if got := img.EncodeParallel(workers); !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d: encoding differs", workers)
-		}
-	}
-}
-
-func TestDecodeImageWithParallel(t *testing.T) {
-	c := mkCluster(t, 1)
-	p := mkBusyPod(t, c, "dec", 0, 5)
-	img, err := CheckpointPod(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := img.Encode()
-	want, err := DecodeImageWith(data, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := DecodeImageWith(data, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(want.Encode(), got.Encode()) {
-			t.Fatalf("workers=%d: decoded image differs", workers)
 		}
 	}
 }
@@ -142,7 +105,7 @@ func TestCheckpointPodsSharedPool(t *testing.T) {
 		if imgs[i].PodName != p.Name() {
 			t.Fatalf("image %d is for pod %q, want %q", i, imgs[i].PodName, p.Name())
 		}
-		if !bytes.Equal(want.Encode(), imgs[i].Encode()) {
+		if !bytes.Equal(rawOf(want), rawOf(imgs[i])) {
 			t.Fatalf("pod %q: pooled capture differs from sequential", p.Name())
 		}
 	}
@@ -217,7 +180,7 @@ func TestNormWorkers(t *testing.T) {
 // delta-record decoders: they must return errors, never panic, and a
 // successfully decoded image must re-encode decodably.
 func FuzzDecodeImage(f *testing.F) {
-	// Seed with genuine records of both kinds.
+	// Seed with genuine version-3 records of both kinds.
 	c := mkRawCluster(1)
 	p, _ := pod.New("seed", c.nodes[0], c.nw, c.fs, 7)
 	proc := p.AddProcess(&worker{Limit: 50})
@@ -244,36 +207,34 @@ func FuzzDecodeImage(f *testing.F) {
 	}
 	f.Add(fullWire.Bytes())
 	f.Add(deltaWire.Bytes())
-	// Legacy version-1 records must keep decoding too.
-	f.Add(fullPend.Image.Encode())
-	f.Add(deltaPend.Delta.Encode())
+	// Version-1 and version-2 records must keep decoding too; nothing
+	// writes them any more, so the seeds are the frozen samples.
+	for _, name := range []string{"full.v1", "delta.v1", "full.v2", "delta.v2"} {
+		f.Add(fixture(f, name))
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x5a}, 64))
-	// A truncated v2 record: every decode path must error, never hang.
+	// Truncated records: every decode path must error, never hang.
 	f.Add(fullWire.Bytes()[:fullWire.Len()*2/3])
+	v2 := fixture(f, "full.v2")
+	f.Add(v2[:len(v2)*2/3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if img, err := DecodeImage(data); err == nil {
-			if _, err := DecodeImage(img.Encode()); err != nil {
-				t.Fatalf("re-decode of decoded image failed: %v", err)
-			}
-			var v2 bytes.Buffer
-			if _, err := img.EncodeStream(&v2); err != nil {
+			var re bytes.Buffer
+			if _, err := img.EncodeStream(&re); err != nil {
 				t.Fatalf("streaming re-encode failed: %v", err)
 			}
-			if _, err := DecodeImage(v2.Bytes()); err != nil {
+			if _, err := DecodeImage(re.Bytes()); err != nil {
 				t.Fatalf("re-decode of streamed image failed: %v", err)
 			}
 		}
 		if d, err := DecodeDelta(data); err == nil {
-			if _, err := DecodeDelta(d.Encode()); err != nil {
-				t.Fatalf("re-decode of decoded delta failed: %v", err)
-			}
-			var v2 bytes.Buffer
-			if _, err := d.EncodeStream(&v2); err != nil {
+			var re bytes.Buffer
+			if _, err := d.EncodeStream(&re); err != nil {
 				t.Fatalf("streaming re-encode failed: %v", err)
 			}
-			if _, err := DecodeDelta(v2.Bytes()); err != nil {
+			if _, err := DecodeDelta(re.Bytes()); err != nil {
 				t.Fatalf("re-decode of streamed delta failed: %v", err)
 			}
 		}
@@ -301,7 +262,11 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytesOut = int64(len(img.EncodeParallel(workers)))
+				st, err := img.EncodeStream(io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bytesOut = st.Raw
 			}
 			b.SetBytes(bytesOut)
 		})

@@ -75,7 +75,7 @@ func TestQuickImageRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		img := randImage(r)
-		data := img.Encode()
+		data := wire(t, img.EncodeStream)
 		got, err := DecodeImage(data)
 		if err != nil {
 			return false
@@ -124,7 +124,7 @@ func TestQuickImageRoundTrip(t *testing.T) {
 func TestQuickCorruptionDetected(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	img := randImage(r)
-	data := img.Encode()
+	data := wire(t, img.EncodeStream)
 	for trial := 0; trial < 200; trial++ {
 		pos := r.Intn(len(data))
 		bit := byte(1) << uint(r.Intn(8))

@@ -1,14 +1,14 @@
 // Streaming forms of the pod image and delta record.
 //
-// The version-1 encoders (Encode, EncodeParallel, DeltaImage.Encode)
-// materialize the whole record in memory. The version-2 layout keeps
-// the same information but flattens bulk payloads to top-level fields
-// so they can be framed straight to an io.Writer by imgfmt's
-// StreamEncoder: process metadata (vpid, kind, descriptor table) lives
-// in a small header section, while program state and every memory
-// region follow as top-level Bytes fields that the encoder frames out
-// of the caller's buffers without copying. Peak buffering is O(chunk
-// size + largest metadata section), never O(image size).
+// Records are written in one layout only, by EncodeStream: the
+// version-2 field layout in version-3 frames. The layout flattens bulk
+// payloads to top-level fields so they can be framed straight to an
+// io.Writer by imgfmt's StreamEncoder: process metadata (vpid, kind,
+// descriptor table) lives in a small header section, while program
+// state and every memory region follow as top-level Bytes fields that
+// the encoder frames out of the caller's buffers without copying. Peak
+// buffering is O(chunk size + largest metadata section), never
+// O(image size).
 //
 // Version-2 full image field order:
 //
@@ -22,9 +22,10 @@
 //	  d2ProgData? (d2RegName d2RegData)* )*
 //	d2RemovedProc*
 //
-// Decoders accept both versions (dispatching on the header via
-// imgfmt.SniffVersion), so images checkpointed before the streaming
-// pipeline still restore.
+// Decoders accept every version (dispatching on the header via
+// imgfmt.NewStreamDecoder): records framed as version 2 carry the same
+// field layout, and version-1 records (see v1.go) still restore.
+// Frozen samples of each live in testdata/formats.
 package ckpt
 
 import (
@@ -93,7 +94,7 @@ type StreamStats struct {
 	// compression, for version-3 streams.
 	Bytes int64
 	// Raw is the logical (uncompressed) payload size the frames carry:
-	// the size of the version-1 field stream. Bytes/Raw is the
+	// the size of the unframed field stream. Bytes/Raw is the
 	// compression ratio of the record.
 	Raw int64
 	// Peak is the maximum bytes the encoder ever buffered at once —
@@ -144,8 +145,8 @@ func (img *Image) EncodeStream(w io.Writer) (StreamStats, error) {
 }
 
 // EncodeStreamWith is EncodeStream with explicit frame-layer options
-// (legacy version-2 framing, or version 3 with compression disabled) —
-// for baselines, compatibility tooling, and cross-configuration tests.
+// (compression disabled) — for logical-size counts, baselines, and
+// cross-configuration tests.
 func (img *Image) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
 	s := imgfmt.NewStreamEncoderOpts(cw, o)
@@ -489,11 +490,22 @@ func decodeDeltaV2(dec *imgfmt.StreamDecoder) (*DeltaImage, error) {
 	return d, nil
 }
 
-// DecodeImageFrom parses a pod image from a reader, handling both
-// format versions. A version-2 stream is decoded incrementally with
-// per-frame CRC validation; a version-1 stream is read fully (its
-// format requires it) and decoded on the worker pool.
-func DecodeImageFrom(r io.Reader, workers int) (*Image, error) {
+// DecodeImage parses a serialized pod image of any format version.
+func DecodeImage(data []byte) (*Image, error) {
+	return DecodeImageFrom(bytes.NewReader(data))
+}
+
+// DecodeDelta parses a serialized incremental record of any format
+// version.
+func DecodeDelta(data []byte) (*DeltaImage, error) {
+	return DecodeDeltaFrom(bytes.NewReader(data))
+}
+
+// DecodeImageFrom parses a pod image from a reader, handling every
+// format version. A version-2 or version-3 stream is decoded
+// incrementally with per-frame CRC validation; a version-1 stream is
+// read fully (its format requires it) and decoded in memory.
+func DecodeImageFrom(r io.Reader) (*Image, error) {
 	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {
 		return nil, err
@@ -502,13 +514,13 @@ func DecodeImageFrom(r io.Reader, workers int) (*Image, error) {
 		return nil, fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
 	}
 	if d.Version() == imgfmt.Version {
-		return decodeImageV1(d.Raw(), workers)
+		return decodeImageV1(d.Raw())
 	}
 	return decodeImageV2(d)
 }
 
 // DecodeDeltaFrom parses an incremental record from a reader, handling
-// both format versions.
+// every format version.
 func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {
@@ -527,7 +539,7 @@ func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 // decode-checks a pod image from a reader, failing with
 // ErrCorruptImage on any CRC mismatch, truncation, or malformed field.
 func VerifyImageFrom(r io.Reader) (*Image, error) {
-	img, err := DecodeImageFrom(r, 1)
+	img, err := DecodeImageFrom(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptImage, err)
 	}
@@ -553,7 +565,7 @@ func ReconstructChainFrom(n int, open func(i int) (io.ReadCloser, error)) (*Imag
 		defer rc.Close()
 		cr := &crcReader{r: rc}
 		if i == 0 {
-			img, err := DecodeImageFrom(cr, 1)
+			img, err := DecodeImageFrom(cr)
 			return img, nil, cr.sum, err
 		}
 		d, err := DecodeDeltaFrom(cr)

@@ -24,14 +24,6 @@ var ErrCorruptImage = ckpt.ErrCorruptImage
 // buffers on the way in. A validation failure names the offending pod
 // and wraps ErrCorruptImage.
 func (c *Cluster) LoadImages(dir string) ([]*ckpt.Image, error) {
-	return c.LoadImagesWith(dir, 1)
-}
-
-// LoadImagesWith is LoadImages with legacy version-1 images decoded
-// across a bounded worker pool (workers <= 0 selects one per host CPU),
-// the restart-side mirror of the parallel checkpoint pipeline.
-// Version-2 images decode through the streaming walk.
-func (c *Cluster) LoadImagesWith(dir string, workers int) ([]*ckpt.Image, error) {
 	store := c.Mgr.Store()
 	files := store.List(dir)
 	if len(files) == 0 {
@@ -43,7 +35,7 @@ func (c *Cluster) LoadImagesWith(dir string, workers int) ([]*ckpt.Image, error)
 		if err != nil {
 			return nil, err
 		}
-		img, err := ckpt.DecodeImageFrom(rc, workers)
+		img, err := ckpt.DecodeImageFrom(rc)
 		rc.Close()
 		if err != nil {
 			name := strings.TrimSuffix(f[strings.LastIndex(f, "/")+1:], ".img")

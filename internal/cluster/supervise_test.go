@@ -3,10 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"zapc/internal/ckpt"
 	"zapc/internal/core"
 	"zapc/internal/sim"
 )
@@ -88,11 +89,12 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 	}
 }
 
-// TestLoadImagesRefusesTruncatedImage truncates a flushed checkpoint
-// image mid-stream — in the chunked version-2 format and in the legacy
-// version-1 format — and asserts that LoadImages and RestartFromFS
-// refuse it with ErrCorruptImage naming the pod, while the intact
-// record of either version loads fine.
+// TestLoadImagesRefusesTruncatedImage truncates a checkpoint image
+// mid-stream — the flushed version-3 record, and the frozen version-2
+// and version-1 samples (internal/ckpt/testdata/formats) in its place —
+// and asserts that LoadImages and RestartFromFS refuse it with
+// ErrCorruptImage naming the pod, while the intact record of every
+// version loads fine.
 func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 	c := New(Config{Nodes: 2, Seed: 23})
 	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 2, Work: 0.01, Scale: 0.001})
@@ -112,15 +114,17 @@ func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 	}
 	victim := files[0]
 	podName := strings.TrimSuffix(victim[strings.LastIndex(victim, "/")+1:], ".img")
-	v2, err := c.FS.ReadFile(victim)
+	v3, err := c.FS.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := ckpt.DecodeImage(v2)
-	if err != nil {
-		t.Fatal(err)
+	frozen := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "formats", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	v1 := img.Encode()
 
 	expectCorrupt := func(label string) {
 		t.Helper()
@@ -138,8 +142,9 @@ func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 		label string
 		whole []byte
 	}{
-		{"v2", v2},
-		{"v1", v1},
+		{"v3", v3},
+		{"v2", frozen("full.v2")},
+		{"v1", frozen("full.v1")},
 	} {
 		// The intact record of either version loads.
 		if err := c.FS.WriteFile(victim, tc.whole); err != nil {

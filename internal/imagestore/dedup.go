@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -137,7 +138,7 @@ func (d *DedupStore) readManifest(path string) (*dedupManifest, error) {
 	}
 	rest := data[len(dedupMagic):]
 	logical, n := binary.Uvarint(rest)
-	if n <= 0 {
+	if n <= 0 || logical > math.MaxInt64 {
 		return nil, fmt.Errorf("%w: %s: bad logical size", ErrDedupCorrupt, path)
 	}
 	rest = rest[n:]
@@ -147,18 +148,21 @@ func (d *DedupStore) readManifest(path string) (*dedupManifest, error) {
 	}
 	rest = rest[n:]
 	m := &dedupManifest{logical: int64(logical)}
-	var total int64
+	left := logical // bytes no block has accounted for yet
 	for i := uint64(0); i < count; i++ {
 		bl, n := binary.Uvarint(rest)
 		if n <= 0 || len(rest[n:]) < sha256.Size {
 			return nil, fmt.Errorf("%w: %s: truncated block entry %d", ErrDedupCorrupt, path, i)
 		}
+		if bl > left {
+			return nil, fmt.Errorf("%w: %s: block %d overruns the logical size", ErrDedupCorrupt, path, i)
+		}
+		left -= bl
 		rest = rest[n:]
 		m.blocks = append(m.blocks, dedupBlockRef{key: hex.EncodeToString(rest[:sha256.Size]), n: int(bl)})
 		rest = rest[sha256.Size:]
-		total += int64(bl)
 	}
-	if len(rest) != 0 || total != m.logical {
+	if len(rest) != 0 || left != 0 {
 		return nil, fmt.Errorf("%w: %s: size mismatch", ErrDedupCorrupt, path)
 	}
 	return m, nil

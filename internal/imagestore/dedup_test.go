@@ -2,6 +2,9 @@ package imagestore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -374,4 +377,87 @@ func TestDedupCorruptManifest(t *testing.T) {
 			t.Fatalf("truncated manifest (cut %d) opened cleanly", cut)
 		}
 	}
+}
+
+// manifestOf assembles manifest bytes by hand: a logical size and one
+// (length, all-zero hash) entry per block length.
+func manifestOf(logical uint64, blocks ...uint64) []byte {
+	out := binary.AppendUvarint([]byte(dedupMagic), logical)
+	out = binary.AppendUvarint(out, uint64(len(blocks)))
+	for _, n := range blocks {
+		out = binary.AppendUvarint(out, n)
+		out = append(out, make([]byte, sha256.Size)...)
+	}
+	return out
+}
+
+// putRaw writes data under path in the inner store, bypassing dedup.
+func putRaw(t testing.TB, inner Store, path string, data []byte) {
+	t.Helper()
+	wc, err := inner.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wc.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDedupManifestBlockOverrun: block lengths whose sum wraps around
+// to the logical size (two 2^63-byte blocks for a 0-byte image) must
+// not pass as a valid manifest, nor may any block claim more bytes than
+// the logical size leaves.
+func TestDedupManifestBlockOverrun(t *testing.T) {
+	st, inner := newDedupT()
+	for name, data := range map[string][]byte{
+		"wrap":     manifestOf(0, 1<<63, 1<<63),
+		"overrun":  manifestOf(10, 11),
+		"second":   manifestOf(10, 4, 7),
+		"negative": manifestOf(1<<63, 1<<63),
+	} {
+		path := "bad/" + name + ".img"
+		putRaw(t, inner, path, data)
+		if _, err := st.Stat(path); !errors.Is(err, ErrDedupCorrupt) {
+			t.Errorf("%s: Stat err = %v, want ErrDedupCorrupt", name, err)
+		}
+		if _, err := st.Open(path); !errors.Is(err, ErrDedupCorrupt) {
+			t.Errorf("%s: Open err = %v, want ErrDedupCorrupt", name, err)
+		}
+	}
+	putRaw(t, inner, "ok/pod.img", manifestOf(10, 4, 6))
+	if _, err := st.readManifest("ok/pod.img"); err != nil {
+		t.Fatalf("well-formed manifest rejected: %v", err)
+	}
+}
+
+// FuzzReadManifest feeds arbitrary bytes to the manifest parser. It
+// must never panic, and a manifest it accepts must account for exactly
+// its logical size with blocks that each fit inside it.
+func FuzzReadManifest(f *testing.F) {
+	f.Add(manifestOf(0))
+	f.Add(manifestOf(10, 4, 6))
+	f.Add(manifestOf(0, 1<<63, 1<<63))
+	f.Add([]byte(dedupMagic))
+	f.Add([]byte("ZAPCIMG"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, inner := newDedupT()
+		putRaw(t, inner, "f/pod.img", data)
+		m, err := st.readManifest("f/pod.img")
+		if err != nil || m == nil {
+			return
+		}
+		var sum int64
+		for _, b := range m.blocks {
+			if b.n < 0 || int64(b.n) > m.logical {
+				t.Fatalf("block of %d bytes in a %d-byte manifest", b.n, m.logical)
+			}
+			sum += int64(b.n)
+		}
+		if m.logical < 0 || sum != m.logical {
+			t.Fatalf("blocks sum to %d, logical size %d", sum, m.logical)
+		}
+	})
 }

@@ -99,18 +99,19 @@ func FuzzDecode(f *testing.F) {
 	e.End()
 	e.Float64(4, 3.14)
 	f.Add(e.Finish())
-	// ...a well-formed delta record...
-	de := NewDeltaEncoder()
-	de.Int(1, -7)
-	f.Add(de.Finish())
+	// ...well-formed delta records and frozen pod records of the
+	// retired versions 1 and 2 (see formatFixture)...
+	for _, name := range []string{"full.v1", "delta.v1", "full.v2", "delta.v2"} {
+		f.Add(formatFixture(f, name))
+	}
 	// ...and a few deliberately broken inputs.
 	f.Add([]byte(Magic))
 	f.Add([]byte(DeltaMagic + "\x01"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	// Chunked v2 seeds: a valid framed stream, a truncated frame, a
-	// frame with a corrupt chunk CRC, and a frame declaring a huge
-	// payload length.
+	// Chunked seeds: a valid framed stream, a truncated frame, a frame
+	// with a corrupt chunk CRC, and a v2 frame declaring a huge payload
+	// length.
 	var v2 bytes.Buffer
 	s2 := NewStreamEncoder(&v2)
 	s2.Uint(1, 42)
@@ -168,13 +169,11 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0xaa}, 300), "π∂", true, math.NaN(), false)
 
 	f.Fuzz(func(t *testing.T, u uint64, i int64, bs []byte, s string, b bool, fl float64, delta bool) {
-		mkEnc := NewEncoder
 		mkDec := NewDecoder
 		if delta {
-			mkEnc = NewDeltaEncoder
 			mkDec = NewDeltaDecoder
 		}
-		e := mkEnc()
+		e := NewEncoder()
 		e.Uint(1, u)
 		e.Int(2, i)
 		e.Bytes(3, bs)
@@ -191,8 +190,11 @@ func FuzzRoundTrip(f *testing.F) {
 		se := NewSectionEncoder()
 		se.Uint(1, u)
 		se.String(2, s)
-		e.RawSection(7, se.Body())
+		e.s.RawSection(7, se.Body())
 		img := e.Finish()
+		if delta {
+			img = asDelta(img)
+		}
 
 		d, err := mkDec(img)
 		if err != nil {

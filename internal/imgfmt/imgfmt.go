@@ -34,7 +34,10 @@ const Magic = "ZAPCIMG"
 // reader can never mistake a delta for a restartable full image.
 const DeltaMagic = "ZAPCDLT"
 
-// Version is the current encoding version written into every header.
+// Version is the in-memory format version: NewEncoder writes it (for
+// program-state blobs and other nested payloads), and whole pod
+// records written in it before the chunked framings existed decode
+// forever.
 const Version = 1
 
 // Wire types for encoded fields.
@@ -73,13 +76,7 @@ type Encoder struct {
 
 // NewEncoder returns an encoder with the image header already written.
 func NewEncoder() *Encoder {
-	return &Encoder{s: newBuffered(Magic)}
-}
-
-// NewDeltaEncoder returns an encoder whose header marks the stream as a
-// delta record rather than a full image.
-func NewDeltaEncoder() *Encoder {
-	return &Encoder{s: newBuffered(DeltaMagic)}
+	return &Encoder{s: newBuffered()}
 }
 
 // NewSectionEncoder returns an encoder producing a bare field stream
@@ -124,12 +121,6 @@ func (e *Encoder) Float64(tag uint64, v float64) { e.s.Float64(tag, v) }
 // Begin opens a nested section with the given tag. Sections may nest to any
 // depth; each Begin must be matched by an End.
 func (e *Encoder) Begin(tag uint64) { e.s.Begin(tag) }
-
-// RawSection writes a section field whose body was encoded separately
-// (by a NewSectionEncoder finished with Body). The resulting bytes are
-// identical to Begin + re-encoding the fields + End, which is what lets
-// parallel encoders produce byte-identical images to sequential ones.
-func (e *Encoder) RawSection(tag uint64, body []byte) { e.s.RawSection(tag, body) }
 
 // Body returns the bare field stream of a section encoder (no header,
 // no trailer). It is an error to call Body with open sections or on an

@@ -23,6 +23,10 @@
 //	              stored[storedLen] | crc32(stored) LE
 //	terminator = uvarint 0 | crc32(header + all raw payloads) LE
 //
+// Streaming encoders write only version 3. Records of versions 1 and 2
+// are never written any more but decode forever; frozen samples of
+// both live in internal/ckpt/testdata/formats.
+//
 // Each frame carries its own CRC over the bytes as stored (so
 // corruption is caught before any decompression is attempted), while
 // the terminator CRC covers the logical payload stream, so it is
@@ -39,7 +43,6 @@
 package imgfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,13 +51,12 @@ import (
 )
 
 // StreamVersion is the uncompressed chunked framing version. Streams of
-// this version are decoded forever; encoders only write it on request
-// (StreamOpts.Version), for compatibility tooling and baselines.
+// this version decode forever; nothing writes them any more.
 const StreamVersion = 2
 
-// StreamVersion3 is the compressed chunked framing version written by
-// streaming encoders by default: every frame is independently RAW or
-// LZ4-style block-compressed.
+// StreamVersion3 is the chunked framing version streaming encoders
+// write: every frame is independently RAW or LZ4-style
+// block-compressed.
 const StreamVersion3 = 3
 
 // DefaultChunk is the frame payload size streaming encoders flush at.
@@ -81,12 +83,12 @@ var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 // O(chunk) buffering bound.
 type StreamEncoder struct {
 	w        io.Writer
-	version  int      // 0 bare section, 1 buffered legacy, 2/3 framed streaming
-	compress bool     // version 3 with the per-frame compression heuristic on
+	version  int      // 0 bare section, 1 buffered, 3 framed streaming
+	compress bool     // the per-frame compression heuristic is on
 	stack    [][]byte // stack[0] is the root buffer; deeper entries are open sections
-	cbuf     []byte   // compression output, reused across frames (version 3)
+	cbuf     []byte   // compression output, reused across frames
 	chunk    int
-	crc      uint32 // running CRC over header + logical payload (versions 2/3)
+	crc      uint32 // running CRC over header + logical payload (streaming)
 	written  int64
 	logical  int64 // uncompressed payload bytes framed so far
 	peak     int64
@@ -95,24 +97,20 @@ type StreamEncoder struct {
 }
 
 // StreamOpts tunes a streaming encoder. The zero value is the default:
-// version-3 frames with the per-frame compression heuristic enabled.
+// the per-frame compression heuristic enabled.
 type StreamOpts struct {
-	// Version selects the frame layout written: 0 means the default
-	// (StreamVersion3); StreamVersion (2) writes the uncompressed
-	// legacy framing for baselines and compatibility tooling.
-	Version int
-	// NoCompress stores every version-3 frame RAW, skipping the
+	// NoCompress stores every frame RAW, skipping the
 	// compression attempt. Decoders do not care: RAW frames are always
 	// legal, and the whole-stream CRC is over logical payloads.
 	NoCompress bool
 }
 
 // NewStreamEncoder returns a streaming encoder that has already written
-// the default (version-3) full-image header to w.
+// the version-3 full-image header to w.
 func NewStreamEncoder(w io.Writer) *StreamEncoder { return newStream(w, Magic, StreamOpts{}) }
 
 // NewStreamDeltaEncoder returns a streaming encoder that has already
-// written the default (version-3) delta-record header to w.
+// written the version-3 delta-record header to w.
 func NewStreamDeltaEncoder(w io.Writer) *StreamEncoder { return newStream(w, DeltaMagic, StreamOpts{}) }
 
 // NewStreamEncoderOpts is NewStreamEncoder with explicit options.
@@ -127,21 +125,14 @@ func NewStreamDeltaEncoderOpts(w io.Writer, o StreamOpts) *StreamEncoder {
 }
 
 func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
-	ver := o.Version
-	if ver == 0 {
-		ver = StreamVersion3
-	}
-	if ver != StreamVersion && ver != StreamVersion3 {
-		panic(fmt.Sprintf("imgfmt: unsupported stream version %d", ver))
-	}
 	s := &StreamEncoder{
 		w:        w,
-		version:  ver,
-		compress: ver == StreamVersion3 && !o.NoCompress,
+		version:  StreamVersion3,
+		compress: !o.NoCompress,
 		chunk:    DefaultChunk,
 		stack:    [][]byte{make([]byte, 0, 512)},
 	}
-	hdr := appendUvarint(append([]byte(nil), magic...), uint64(ver))
+	hdr := appendUvarint(append([]byte(nil), magic...), StreamVersion3)
 	s.crc = crc32.Update(0, crc32.IEEETable, hdr)
 	s.writeRaw(hdr)
 	return s
@@ -149,13 +140,13 @@ func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
 
 // streaming reports whether this encoder writes a framed (chunked)
 // stream, as opposed to the buffered version-1 or bare-section forms.
-func (s *StreamEncoder) streaming() bool { return s.version >= StreamVersion }
+func (s *StreamEncoder) streaming() bool { return s.version == StreamVersion3 }
 
-// newBuffered returns the version-1 in-memory form: the legacy header
-// followed by an unframed field stream, finished with Finish.
-func newBuffered(magic string) *StreamEncoder {
+// newBuffered returns the version-1 in-memory form: the header followed
+// by an unframed field stream, finished with Finish.
+func newBuffered() *StreamEncoder {
 	root := make([]byte, 0, 256)
-	root = append(root, magic...)
+	root = append(root, Magic...)
 	root = appendUvarint(root, Version)
 	return &StreamEncoder{version: Version, stack: [][]byte{root}}
 }
@@ -179,7 +170,7 @@ func (s *StreamEncoder) Logical() int64 { return s.logical }
 
 // Peak reports the maximum bytes this encoder ever buffered at once
 // (staging chunk plus any open section bodies). For buffered versions
-// this approaches the full image size; for version 2 it stays bounded
+// this approaches the full image size; for streaming it stays bounded
 // by the chunk size plus the largest section body.
 func (s *StreamEncoder) Peak() int64 { return s.peak }
 
@@ -197,25 +188,14 @@ func (s *StreamEncoder) writeRaw(b []byte) {
 }
 
 // emitFrame writes one framed chunk and folds its logical payload into
-// the whole-stream CRC. On a version-3 encoder the frame is stored
-// compressed when blockCompress judges the payload worth it; the
-// per-frame CRC always covers the bytes as stored.
+// the whole-stream CRC. The frame is stored compressed when
+// blockCompress judges the payload worth it; the per-frame CRC always
+// covers the bytes as stored.
 func (s *StreamEncoder) emitFrame(payload []byte) {
 	if len(payload) == 0 || s.err != nil {
 		return
 	}
 	s.logical += int64(len(payload))
-	if s.version == StreamVersion {
-		var hdr [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-		s.writeRaw(hdr[:n])
-		s.writeRaw(payload)
-		var tr [4]byte
-		binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(payload))
-		s.writeRaw(tr[:])
-		s.crc = crc32.Update(s.crc, crc32.IEEETable, payload)
-		return
-	}
 	stored, style := payload, byte(FrameRaw)
 	if s.compress {
 		if c := blockCompress(s.cbuf, payload); c != nil {
@@ -359,7 +339,8 @@ func (s *StreamEncoder) End() {
 }
 
 // RawSection writes a section field whose body was encoded separately
-// (by a NewSectionEncoder finished with Body).
+// (by a NewSectionEncoder finished with Body). The resulting bytes are
+// identical to Begin + re-encoding the fields + End.
 func (s *StreamEncoder) RawSection(tag uint64, body []byte) {
 	s.field(tag, TypeSection)
 	b := s.top()
@@ -1026,10 +1007,4 @@ func (d *StreamDecoder) Finished() error {
 		return err
 	}
 	return nil
-}
-
-// DecodeStream is a convenience wrapper decoding an in-memory record of
-// either version into a StreamDecoder.
-func DecodeStream(data []byte) (*StreamDecoder, error) {
-	return NewStreamDecoder(bytes.NewReader(data))
 }

@@ -6,29 +6,35 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// buildV2 encodes a representative record through the streaming encoder:
-// scalar metadata, a nested section, and a bulk payload larger than the
-// chunk size so multiple frames are exercised.
-func buildV2(t *testing.T, big []byte) []byte {
+// formatFixture reads one frozen record from the golden set in
+// internal/ckpt/testdata/formats (its README says how each was made).
+// Nothing writes version-2 records any more, so the version-2 cases here
+// read frozen ones.
+func formatFixture(t testing.TB, name string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	e := NewStreamEncoderOpts(&buf, StreamOpts{Version: StreamVersion})
-	e.String(1, "pod-0")
-	e.Uint(2, 0x0a000001)
-	e.Int(3, -12345)
-	se := NewSectionEncoder()
-	se.Uint(1, 9)
-	se.Bool(2, true)
-	e.RawSection(4, se.Body())
-	e.Bytes(5, big)
-	e.Float64(6, 2.75)
-	if err := e.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	b, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "formats", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// fieldsBig is the bulk payload of fields.v2: a representative record
+// of scalar metadata, a nested section, this payload (larger than the
+// chunk size, so it spans frames) and a float, written by the version-2
+// stream encoder — decodeV2 lists the fields.
+var fieldsBig = bytes.Repeat([]byte{3}, DefaultChunk+517)
+
+// asDelta turns a version-1 image into a delta record: the two differ
+// only in magic, which the CRC trailer covers.
+func asDelta(img []byte) []byte {
+	out := append([]byte(DeltaMagic), img[len(Magic):len(img)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 func decodeV2(t *testing.T, data []byte, big []byte) {
@@ -71,9 +77,10 @@ func decodeV2(t *testing.T, data []byte, big []byte) {
 	}
 }
 
+// TestStreamRoundTripV2 decodes the frozen version-2 record field by
+// field.
 func TestStreamRoundTripV2(t *testing.T) {
-	big := bytes.Repeat([]byte{0xa5, 0x5a, 7}, (3*DefaultChunk+100)/3)
-	decodeV2(t, buildV2(t, big), big)
+	decodeV2(t, formatFixture(t, "fields.v2"), fieldsBig)
 }
 
 // TestStreamEncoderPeakBounded pins the tentpole invariant at the
@@ -128,8 +135,7 @@ func TestStreamDecoderV1(t *testing.T) {
 // TestStreamDecoderTruncated drops bytes off the tail at every length
 // and asserts decode always errors (never hangs, never succeeds).
 func TestStreamDecoderTruncated(t *testing.T) {
-	big := bytes.Repeat([]byte{3}, DefaultChunk+517)
-	whole := buildV2(t, big)
+	whole := formatFixture(t, "fields.v2")
 	walk := func(data []byte) error {
 		d, err := NewStreamDecoder(bytes.NewReader(data))
 		if err != nil {
@@ -168,8 +174,7 @@ func TestStreamDecoderTruncated(t *testing.T) {
 // TestStreamDecoderBadChunkCRC flips one byte in each frame region and
 // asserts the walk fails with a checksum (or framing) error.
 func TestStreamDecoderBadChunkCRC(t *testing.T) {
-	big := bytes.Repeat([]byte{9}, 2*DefaultChunk)
-	whole := buildV2(t, big)
+	whole := formatFixture(t, "fields.v2")
 	for _, pos := range []int{len(Magic) + 2, len(whole) / 2, len(whole) - 3} {
 		bad := append([]byte(nil), whole...)
 		bad[pos] ^= 0x40
@@ -247,9 +252,7 @@ func TestSniffVersion(t *testing.T) {
 	if ver, delta, err := SniffVersion(v1); ver != Version || delta || err != nil {
 		t.Fatalf("v1: %d %v %v", ver, delta, err)
 	}
-	de := NewDeltaEncoder()
-	de.Uint(1, 1)
-	if ver, delta, err := SniffVersion(de.Finish()); ver != Version || !delta || err != nil {
+	if ver, delta, err := SniffVersion(asDelta(v1)); ver != Version || !delta || err != nil {
 		t.Fatalf("v1 delta: %d %v %v", ver, delta, err)
 	}
 	var buf bytes.Buffer
@@ -261,13 +264,7 @@ func TestSniffVersion(t *testing.T) {
 	if ver, delta, err := SniffVersion(buf.Bytes()); ver != StreamVersion3 || !delta || err != nil {
 		t.Fatalf("v3 delta: %d %v %v", ver, delta, err)
 	}
-	var buf2 bytes.Buffer
-	se2 := NewStreamDeltaEncoderOpts(&buf2, StreamOpts{Version: StreamVersion})
-	se2.Uint(1, 1)
-	if err := se2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ver, delta, err := SniffVersion(buf2.Bytes()); ver != StreamVersion || !delta || err != nil {
+	if ver, delta, err := SniffVersion(formatFixture(t, "delta.v2")); ver != StreamVersion || !delta || err != nil {
 		t.Fatalf("v2 delta: %d %v %v", ver, delta, err)
 	}
 	if _, _, err := SniffVersion([]byte("NOTMAGIC")); !errors.Is(err, ErrBadMagic) {

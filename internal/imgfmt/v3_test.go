@@ -234,7 +234,7 @@ func TestV3DecodesAllVersions(t *testing.T) {
 	v1 := e1.Finish()
 
 	streams := map[string][]byte{
-		"v2": buildV2(t, big),
+		"v2": formatFixture(t, "fields.v2"),
 		"v3": buildV3(t, StreamOpts{}, big),
 	}
 	for name, data := range streams {

@@ -9,8 +9,10 @@ import (
 // bumped whenever a field changes meaning (not when one is added with a
 // zero-value default); zapc-benchdiff refuses to compare records of
 // different versions rather than produce a silently wrong verdict.
-// Records written before versioning decode as Schema 0.
-const BenchSchema = 1
+// Records written before versioning decode as Schema 0. Schema 2:
+// EncodeMBps times the version-3 stream encoder over logical bytes
+// (schema 1 timed the retired version-1 encoder over its wire bytes).
+const BenchSchema = 2
 
 // CkptBenchRecord is one run of the checkpoint-pipeline benchmark
 // (cmd/zapc-bench -fig ckpt). Records accumulate in BENCH_ckpt.json so
@@ -43,9 +45,12 @@ type CkptBenchRecord struct {
 	DeltaBytes     int64   `json:"delta_bytes"`
 	BytesReduction float64 `json:"bytes_reduction"`
 
-	// EncodeMBps is the host wall-clock serialization throughput of the
-	// parallel encoder over the run's images (MiB/s). This is the
-	// figure zapc-benchdiff guards against regression.
+	// EncodeMBps is the host wall-clock throughput of the production
+	// stream encoder (Image.EncodeStream, version-3 frames with
+	// compression) over the run's images, in MiB/s of logical bytes
+	// (StreamStats.Raw: the uncompressed field stream, not the wire
+	// bytes). This is the figure zapc-benchdiff guards against
+	// regression.
 	EncodeMBps float64 `json:"encode_mbps"`
 	// PeakBufferedBytes is the largest amount of record data any
 	// streaming serializer held in memory at once during the run. The
@@ -61,11 +66,12 @@ type CkptBenchRecord struct {
 	// Zero in records written before the fields existed.
 	SuspendUs   float64 `json:"suspend_us,omitempty"`
 	ScSuspendUs float64 `json:"sc_suspend_us,omitempty"`
-	// EncodeRawMBps is EncodeMBps with per-frame compression disabled
-	// (version-3 RAW frames), and DecodeMBps / DecodeRawMBps are the
-	// matching deserialization throughputs; together they price the
-	// compression arm of the frame format. Zero in records written
-	// before the fields existed.
+	// EncodeRawMBps is the stream encoder with per-frame compression
+	// disabled (version-3 RAW frames), and DecodeMBps / DecodeRawMBps
+	// are the matching deserialization throughputs; together they price
+	// the compression arm of the frame format. All three are MiB/s of
+	// the wire bytes written or read. Zero in records written before the
+	// fields existed.
 	EncodeRawMBps float64 `json:"encode_raw_mbps,omitempty"`
 	DecodeMBps    float64 `json:"decode_mbps,omitempty"`
 	DecodeRawMBps float64 `json:"decode_raw_mbps,omitempty"`

@@ -140,7 +140,7 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pod %v: chain: %v", vip, err)
 				}
-				if !bytes.Equal(rebuilt.Encode(), img.Encode()) {
+				if !bytes.Equal(rawOf(rebuilt), rawOf(img)) {
 					t.Fatalf("pod %v: pre-copy chain reconstruction differs from the materialized image", vip)
 				}
 			}
