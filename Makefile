@@ -10,7 +10,8 @@ GOTEST = $(GO) test $(GOTESTFLAGS)
 
 # Full CI gate: static checks, a clean build, the race-enabled suite,
 # the pre-copy live-checkpoint scenario under the race detector, short
-# fuzzing of the image-format decoders and the dedup manifest parser,
+# fuzzing of the image-format decoders, the dedup manifest parser and
+# the remote-store stream parser,
 # the chaos fuzzer sweep + corpus replay gate, the dedup-store layout
 # gate, the coordination-tree scaling gate, the observability and trace
 # determinism gate, the warm-standby replication gate, coverage totals,
@@ -40,9 +41,9 @@ race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
-# point (TLV decoder, round-trip property, full+delta image decoder) and
-# the dedup store's manifest parser. Raise FUZZTIME for a real fuzzing
-# session.
+# point (TLV decoder, round-trip property, full+delta image decoder),
+# the dedup store's manifest parser and the remote-store server's stream
+# parser. Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/imagestore
+	$(GO) test -run '^$$' -fuzz '^FuzzServerFeed$$' -fuzztime $(FUZZTIME) ./internal/imagestore
 
 # Chaos gate: the seeded fault-schedule fuzzer under -race (schedule
 # determinism, composition coverage, and the recovery invariant over a

@@ -14,9 +14,9 @@ import (
 
 // CkptPipelineRow reports one run of the parallel/incremental
 // checkpoint-pipeline benchmark: the same deterministic job is
-// checkpointed with a sequential serializer, with the bounded worker
-// pool, and with incremental (base+delta) capture, so the three arms
-// are directly comparable.
+// checkpointed with a modeled sequential serializer, with a modeled
+// serialization width of Workers, and with incremental (base+delta)
+// capture, so the three arms are directly comparable.
 type CkptPipelineRow struct {
 	App     string
 	Pods    int
@@ -88,19 +88,17 @@ func ckptAt(c *Cluster, job *Job, target float64, opts core.Options) (*core.Chec
 }
 
 // RunCkptPipeline measures the checkpoint pipeline for one (app,
-// endpoints) configuration. workers <= 0 selects one worker per host
-// CPU, floored at 4 so the parallel arm stays meaningful on small
-// hosts (the modeled pool width does not require host cores). The
+// endpoints) configuration. workers <= 0 selects 4, a fixed modeled
+// serialization width, so the record does not depend on the host's CPU
+// count (capture itself runs sequentially on the host). The
 // sequential and parallel arms run the same seed, so the two modeled
-// checkpoint times differ only by the worker-pool width; the
+// checkpoint times differ only by the modeled width; the
 // incremental arm takes cfg.Checkpoints snapshots through an IncrSet
 // and reports the full-vs-delta wire economics.
 func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (CkptPipelineRow, error) {
 	cfg = cfg.defaults()
 	if workers <= 0 {
-		if workers = ckpt.DefaultWorkers(); workers < 4 {
-			workers = 4
-		}
+		workers = 4
 	}
 	start := time.Now()
 	row := CkptPipelineRow{App: app, Pods: endpoints, Workers: workers}

@@ -59,7 +59,7 @@ func main() {
 	ckpts := flag.Int("ckpts", 10, "checkpoints per measured run")
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	seed := flag.Int64("seed", 2005, "simulation seed")
-	workers := flag.Int("workers", 0, "checkpoint worker-pool width for -fig ckpt (<=0: one per host CPU)")
+	workers := flag.Int("workers", 0, "modeled checkpoint serialization width for -fig ckpt (<=0: 4); capture runs sequentially on the host")
 	out := flag.String("out", "BENCH_ckpt.json", "trajectory file appended by -fig ckpt")
 	traceOut := flag.String("trace", "BENCH_trace.json", "Chrome trace-event timeline written by -fig trace")
 	eventsOut := flag.String("events", "BENCH_trace.jsonl", "JSONL event log written by -fig trace")

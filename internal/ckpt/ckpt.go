@@ -107,73 +107,90 @@ type Image struct {
 
 // CheckpointPod saves a suspended pod. The pod must be quiescent with
 // its network blocked (the coordinated Agent guarantees both before
-// calling). The walk has no side effects on the pod. CheckpointPodWith
-// performs the same save with a parallel worker pool.
+// calling). The walk has no side effects on the pod.
 func CheckpointPod(p *pod.Pod) (*Image, error) {
-	return CheckpointPodWith(p, 1)
+	img, _, err := captureFrozen(p, nil)
+	return img, err
 }
 
-// procRef and sockRef name the worker-pool job inputs.
-type (
-	procRef = *vos.Process
-	sockRef = *netstack.Socket
-)
-
-// beginCheckpoint performs the sequential prologue every checkpoint
-// shares: quiescence check, network-state capture, the image skeleton,
-// the frozen process list, and the socket-identity -> slot table (the
-// same enumeration order netckpt used; the pod is frozen, so the socket
-// table is stable).
-func beginCheckpoint(p *pod.Pod) (*Image, []procRef, map[sockRef]int, error) {
+// captureFrozen is the stop-and-copy prologue every frozen capture
+// shares: it refuses a pod that is not quiescent and attaches the pod's
+// network image — net when the caller already took it (the coordinated
+// agent's network-state checkpoint; the pod has stayed suspended and
+// blocked since), a fresh netckpt capture when net is nil — then
+// captures the processes.
+func captureFrozen(p *pod.Pod, net *netckpt.NetImage) (*Image, map[vos.PID]uint64, error) {
 	if !p.Quiescent() {
-		return nil, nil, nil, ErrNotQuiescent
+		return nil, nil, ErrNotQuiescent
 	}
-	netImg, _, err := netckpt.CheckpointStack(p.Stack())
-	if err != nil {
-		return nil, nil, nil, err
+	if net == nil {
+		var err error
+		if net, _, err = netckpt.CheckpointStack(p.Stack()); err != nil {
+			return nil, nil, err
+		}
 	}
+	return capturePod(p, net)
+}
+
+// capturePod serializes every process of p, in order, into an image
+// whose network section is net, and returns each process's write-clock
+// mark — the watermark its memory snapshot is consistent at. The socket
+// -> slot table follows the same enumeration order netckpt uses.
+func capturePod(p *pod.Pod, net *netckpt.NetImage) (*Image, map[vos.PID]uint64, error) {
 	img := &Image{
 		PodName:     p.Name(),
 		VIP:         p.VirtualIP(),
 		VirtualTime: p.VirtualNow(),
-		Net:         netImg,
+		Net:         net,
 	}
-	slotOf := make(map[sockRef]int)
+	slotOf := make(map[*netstack.Socket]int)
 	for i, s := range p.Stack().Sockets() {
 		slotOf[s] = i
 	}
-	return img, p.Procs(), slotOf, nil
+	procs := p.Procs()
+	img.Procs = make([]ProcImage, 0, len(procs))
+	marks := make(map[vos.PID]uint64, len(procs))
+	for _, proc := range procs {
+		pi, mark, err := captureProc(proc, slotOf)
+		if err != nil {
+			return nil, nil, err
+		}
+		img.Procs = append(img.Procs, pi)
+		marks[proc.VPID] = mark
+	}
+	sortProcs(img.Procs)
+	return img, marks, nil
 }
 
-// captureProc serializes one frozen process: program state, memory
-// regions, and descriptor-to-slot bindings. It reads the process but
-// never mutates it, so captures of distinct processes may run
-// concurrently.
-func captureProc(proc *vos.Process, slotOf map[sockRef]int) (ProcImage, error) {
+// captureProc serializes one process: program state, a deep copy of its
+// memory regions, and descriptor-to-slot bindings, plus the write-clock
+// mark the copy is consistent at. It reads the process but never
+// mutates it. The simulation runs event callbacks atomically, so the
+// copy is read-consistent even while the process keeps running between
+// events (a pre-copy round).
+func captureProc(proc *vos.Process, slotOf map[*netstack.Socket]int) (ProcImage, uint64, error) {
 	pi := ProcImage{
 		VPID: proc.VPID,
 		Kind: proc.Prog.Kind(),
 	}
 	enc := imgfmt.NewEncoder()
 	if err := proc.Prog.Save(enc); err != nil {
-		return pi, fmt.Errorf("ckpt: saving %s (vpid %d): %w", pi.Kind, pi.VPID, err)
+		return pi, 0, fmt.Errorf("ckpt: saving %s (vpid %d): %w", pi.Kind, pi.VPID, err)
 	}
 	pi.ProgData = enc.Finish()
-	for _, r := range proc.Memory() {
-		pi.Regions = append(pi.Regions, vos.Region{
-			Name: r.Name,
-			Data: append([]byte(nil), r.Data...),
-		})
-	}
+	// Every region carries a write version (SetRegion stamps one), so
+	// the since-0 snapshot copies exactly the regions Memory returns.
+	regions, mark := proc.SnapshotRegions(0)
+	pi.Regions = regions
 	for _, fd := range proc.FDs() {
 		s, _ := proc.SocketFor(fd)
 		slot, ok := slotOf[s]
 		if !ok {
-			return pi, fmt.Errorf("ckpt: fd %d of vpid %d references unknown socket", fd, pi.VPID)
+			return pi, 0, fmt.Errorf("ckpt: fd %d of vpid %d references unknown socket", fd, pi.VPID)
 		}
 		pi.FDs = append(pi.FDs, FDEntry{FD: fd, Slot: slot})
 	}
-	return pi, nil
+	return pi, mark, nil
 }
 
 func sortProcs(procs []ProcImage) {
@@ -212,9 +229,9 @@ func (img *Image) Bytes() int64 {
 }
 
 // ApproxBytes reports the approximate serialized size of one process
-// section (program state plus memory regions). The parallel worker-lane
-// model divides per-process figures like this across the pool to place
-// each process on a modeled worker timeline.
+// section (program state plus memory regions). The modeled
+// serialization lanes divide per-process figures like this across the
+// modeled workers to place each process on a worker timeline.
 func (p *ProcImage) ApproxBytes() int64 {
 	n := int64(len(p.ProgData))
 	for _, r := range p.Regions {

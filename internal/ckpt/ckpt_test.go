@@ -293,14 +293,42 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestCheckpointRequiresQuiescence pins that every frozen-capture entry
+// point refuses a pod that is still running with ErrNotQuiescent, while
+// a frozen pod on the same node captures.
 func TestCheckpointRequiresQuiescence(t *testing.T) {
 	c := mkCluster(t, 1)
+	frozen, _ := pod.New("f", c.nodes[0], c.nw, c.fs, 2)
+	frozen.AddProcess(&worker{Limit: 1000})
+	c.w.RunUntil(sim.Time(5 * sim.Millisecond))
+	c.freeze(t, frozen)
+	if _, err := CheckpointPod(frozen); err != nil {
+		t.Fatalf("frozen pod: %v", err)
+	}
 	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
 	p.AddProcess(&worker{Limit: 1000})
-	c.w.RunUntil(sim.Time(5 * sim.Millisecond))
+	c.w.RunUntil(c.w.Now() + sim.Time(5*sim.Millisecond))
 	p.BlockNetwork()
 	if _, err := CheckpointPod(p); !errors.Is(err, ErrNotQuiescent) {
-		t.Fatalf("err = %v", err)
+		t.Fatalf("CheckpointPod: err = %v", err)
+	}
+	for _, full := range []bool{true, false} {
+		tr := NewTracker()
+		if !full {
+			// A delta capture needs a committed base to diff against.
+			captureCommit(t, tr, frozen, true)
+		}
+		if _, err := tr.Capture(p, nil, full); !errors.Is(err, ErrNotQuiescent) {
+			t.Fatalf("Tracker.Capture(full=%v): err = %v", full, err)
+		}
+	}
+	// Live rounds need no quiescence; the residual capture does.
+	pc, _, err := BeginPrecopy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Finalize(nil); !errors.Is(err, ErrNotQuiescent) {
+		t.Fatalf("Precopy.Finalize: err = %v", err)
 	}
 }
 

@@ -177,11 +177,7 @@ func fixtureGens() [3]*Image {
 // fixtureDelta diffs generation cur against prev, as the incremental
 // tracker does.
 func fixtureDelta(cur, prev *Image, seq uint64, parentSum uint32) *DeltaImage {
-	lastProg := make(map[vos.PID][]byte, len(prev.Procs))
-	for _, p := range prev.Procs {
-		lastProg[p.VPID] = p.ProgData
-	}
-	return buildDelta(cur, prev, lastProg, nil, seq, parentSum)
+	return buildDelta(cur, prev, nil, seq, parentSum)
 }
 
 func TestFormatFixturesPinned(t *testing.T) {

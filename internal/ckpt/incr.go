@@ -139,8 +139,8 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 
 // Tracker drives incremental checkpointing of one pod: it remembers the
 // last committed generation (materialized image, per-process dirty
-// watermarks, program-state fingerprints, record checksum) and emits
-// delta records containing only what changed since.
+// watermarks, record checksum) and emits delta records containing only
+// what changed since.
 //
 // Capture is transactional: it returns a Pending that can stream the
 // record to a sink, and the tracker state only advances when the caller
@@ -148,12 +148,10 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 // drops the Pending and the chain stays anchored at the last durable
 // generation.
 type Tracker struct {
-	seq       uint64 // deltas committed since the last full record
-	sinceFull int    // generations committed since the last full record
-	marks     map[vos.PID]uint64
-	lastProg  map[vos.PID][]byte
-	last      *Image // materialized image of the last committed generation
-	lastSum   uint32 // CRC-32 of the last committed record's bytes
+	seq     uint64 // deltas committed since the last full record
+	marks   map[vos.PID]uint64
+	last    *Image // materialized image of the last committed generation
+	lastSum uint32 // CRC-32 of the last committed record's bytes
 }
 
 // NewTracker returns an empty tracker; its first capture is always a
@@ -166,7 +164,7 @@ func (t *Tracker) HasBase() bool { return t.last != nil }
 
 // SinceFull reports the number of generations committed since the last
 // full record (0 right after a full commit).
-func (t *Tracker) SinceFull() int { return t.sinceFull }
+func (t *Tracker) SinceFull() int { return int(t.seq) }
 
 // Rebase forgets the chain: the next capture produces a full image.
 // Recovery paths call it when a chain fails validation or ownership of
@@ -174,9 +172,7 @@ func (t *Tracker) SinceFull() int { return t.sinceFull }
 // no longer vouch for.
 func (t *Tracker) Rebase() {
 	t.seq = 0
-	t.sinceFull = 0
 	t.marks = nil
-	t.lastProg = nil
 	t.last = nil
 	t.lastSum = 0
 }
@@ -215,10 +211,9 @@ func (pn *Pending) Commit() {
 // generation's materialized image and emits the delta record: every
 // process appears (carrying its complete FD table and, when changed, its
 // program state), but only the regions whose write watermark or bytes
-// changed are included. Shared by the incremental Tracker and the
-// pre-copy rounds so both paths emit byte-identical record shapes.
-func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
-	dirtyNames map[vos.PID]map[string]bool, seq uint64, parentSum uint32) *DeltaImage {
+// changed are included.
+func buildDelta(img, last *Image, dirtyNames map[vos.PID]map[string]bool,
+	seq uint64, parentSum uint32) *DeltaImage {
 	d := &DeltaImage{
 		PodName:     img.PodName,
 		VIP:         img.VIP,
@@ -244,7 +239,7 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 			pd.ProgData = pi.ProgData
 			pd.Regions = pi.Regions
 		} else {
-			if !bytes.Equal(lastProg[pi.VPID], pi.ProgData) {
+			if !bytes.Equal(old.ProgData, pi.ProgData) {
 				pd.ProgChanged = true
 				pd.ProgData = pi.ProgData
 			}
@@ -291,67 +286,55 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 
 // Capture checkpoints the frozen pod and builds either a full record
 // (full=true, or no base exists) or a delta record against the last
-// committed generation, using the worker pool for serialization.
-func (t *Tracker) Capture(p *pod.Pod, workers int, full bool) (*Pending, error) {
-	img, err := CheckpointPodWith(p, workers)
+// committed generation. net is the pod's network image when the caller
+// already took it; nil captures it here.
+func (t *Tracker) Capture(p *pod.Pod, net *netckpt.NetImage, full bool) (*Pending, error) {
+	img, marks, err := captureFrozen(p, net)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot the dirty watermarks and program fingerprints at capture
-	// time (the pod is frozen, so these are the watermarks of exactly
-	// the state in img).
-	marks := make(map[vos.PID]uint64)
-	for _, proc := range p.Procs() {
-		marks[proc.VPID] = proc.MemClock()
+	return t.pending(p, img, marks, full)
+}
+
+// pending encodes the record of a captured generation of p — img, whose
+// processes' snapshots are consistent at marks — and returns it
+// uncommitted.
+func (t *Tracker) pending(p *pod.Pod, img *Image, marks map[vos.PID]uint64, full bool) (*Pending, error) {
+	full = full || t.last == nil
+	pn := &Pending{Image: img}
+	var err error
+	if full {
+		pn.Record, err = img.Record()
+	} else {
+		pn.Delta = buildDelta(img, t.last, t.dirtyNames(p), t.seq+1, t.lastSum)
+		pn.Record, err = pn.Delta.Record()
 	}
-	lastProg := make(map[vos.PID][]byte, len(img.Procs))
-	for _, pi := range img.Procs {
-		lastProg[pi.VPID] = pi.ProgData
+	if err != nil {
+		return nil, err
 	}
-	if full || t.last == nil {
-		rec, err := img.Record()
-		if err != nil {
-			return nil, err
+	pn.commit = func(sum uint32) {
+		if full {
+			t.seq = 0
+		} else {
+			t.seq++
 		}
-		return &Pending{
-			Image:  img,
-			Record: rec,
-			commit: func(sum uint32) {
-				t.seq = 0
-				t.sinceFull = 0
-				t.marks = marks
-				t.lastProg = lastProg
-				t.last = img
-				t.lastSum = sum
-			},
-		}, nil
+		t.marks, t.last, t.lastSum = marks, img, sum
 	}
-	dirtyNames := make(map[vos.PID]map[string]bool)
+	return pn, nil
+}
+
+// dirtyNames lists, per process of p, the regions written since the
+// last committed watermark.
+func (t *Tracker) dirtyNames(p *pod.Pod) map[vos.PID]map[string]bool {
+	out := make(map[vos.PID]map[string]bool)
 	for _, proc := range p.Procs() {
 		names := make(map[string]bool)
 		for _, r := range proc.DirtyRegions(t.marks[proc.VPID]) {
 			names[r.Name] = true
 		}
-		dirtyNames[proc.VPID] = names
+		out[proc.VPID] = names
 	}
-	d := buildDelta(img, t.last, t.lastProg, dirtyNames, t.seq+1, t.lastSum)
-	rec, err := d.Record()
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{
-		Image:  img,
-		Delta:  d,
-		Record: rec,
-		commit: func(sum uint32) {
-			t.seq++
-			t.sinceFull++
-			t.marks = marks
-			t.lastProg = lastProg
-			t.last = img
-			t.lastSum = sum
-		},
-	}, nil
+	return out
 }
 
 // IncrSet manages one Tracker per pod and the full-image cadence: every
@@ -384,11 +367,11 @@ func (s *IncrSet) Tracker(name string) *Tracker {
 }
 
 // Capture checkpoints a frozen pod through its tracker, choosing full
-// or delta per the cadence.
-func (s *IncrSet) Capture(p *pod.Pod, workers int) (*Pending, error) {
+// or delta per the cadence. net is as for Tracker.Capture.
+func (s *IncrSet) Capture(p *pod.Pod, net *netckpt.NetImage) (*Pending, error) {
 	t := s.Tracker(p.Name())
 	full := s.FullEvery <= 1 || t.SinceFull()+1 >= s.FullEvery
-	return t.Capture(p, workers, full)
+	return t.Capture(p, net, full)
 }
 
 // Rebase resets every tracker: the next generation of every pod is a

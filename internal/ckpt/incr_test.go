@@ -37,7 +37,7 @@ func mkIdlePod(t *testing.T, c *cluster, name string, procs, ballast int) *pod.P
 
 func captureCommit(t *testing.T, tr *Tracker, p *pod.Pod, full bool) *Pending {
 	t.Helper()
-	pend, err := tr.Capture(p, 2, full)
+	pend, err := tr.Capture(p, nil, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPendingDiscardKeepsChainAnchored(t *testing.T) {
 	fullPend := captureCommit(t, tr, p, true)
 
 	p.Procs()[0].SetRegion("hot", []byte{7})
-	aborted, err := tr.Capture(p, 1, false)
+	aborted, err := tr.Capture(p, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestIncrSetCadence(t *testing.T) {
 	var kinds []bool
 	for i := 0; i < 7; i++ {
 		p.Procs()[0].SetRegion("hot", []byte{byte(i)})
-		pend, err := s.Capture(p, 1)
+		pend, err := s.Capture(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestIncrSetCadence(t *testing.T) {
 	// FullEvery<=1 disables deltas entirely.
 	s1 := NewIncrSet(1)
 	for i := 0; i < 3; i++ {
-		pend, err := s1.Capture(p, 1)
+		pend, err := s1.Capture(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestIncrSetCadence(t *testing.T) {
 	}
 	// Rebase forces the next generation full.
 	s.Rebase()
-	pend, err := s.Capture(p, 1)
+	pend, err := s.Capture(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package ckpt
 
 import (
-	"fmt"
-
-	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
 	"zapc/internal/pod"
 	"zapc/internal/vos"
@@ -23,72 +20,6 @@ import (
 // one callback is read-consistent at its write-clock watermark — the
 // simulated stand-in for copy-on-write / soft-dirty page capture.
 
-// captureProcLive serializes one process of a running pod: program
-// state, a deep-copied read-consistent snapshot of its memory regions,
-// and descriptor bindings, plus the write-clock watermark the snapshot
-// is consistent at.
-func captureProcLive(proc *vos.Process, slotOf map[sockRef]int) (ProcImage, uint64, error) {
-	pi := ProcImage{
-		VPID: proc.VPID,
-		Kind: proc.Prog.Kind(),
-	}
-	enc := imgfmt.NewEncoder()
-	if err := proc.Prog.Save(enc); err != nil {
-		return pi, 0, fmt.Errorf("ckpt: saving %s (vpid %d): %w", pi.Kind, pi.VPID, err)
-	}
-	pi.ProgData = enc.Finish()
-	regions, mark := proc.SnapshotRegions(0)
-	pi.Regions = regions
-	for _, fd := range proc.FDs() {
-		s, _ := proc.SocketFor(fd)
-		slot, ok := slotOf[s]
-		if !ok {
-			return pi, 0, fmt.Errorf("ckpt: fd %d of vpid %d references unknown socket", fd, pi.VPID)
-		}
-		pi.FDs = append(pi.FDs, FDEntry{FD: fd, Slot: slot})
-	}
-	return pi, mark, nil
-}
-
-// snapshotPod captures a running pod's processes without requiring
-// quiescence. The network image is intentionally empty: socket sequence
-// numbers and buffer occupancy are inherently quiesce-phase state, and
-// restore always applies the final residual record, whose Net — captured
-// with the pod frozen and blocked — is authoritative.
-func snapshotPod(p *pod.Pod, workers int) (*Image, map[vos.PID]uint64, error) {
-	img := &Image{
-		PodName:     p.Name(),
-		VIP:         p.VirtualIP(),
-		VirtualTime: p.VirtualNow(),
-		Net:         &netckpt.NetImage{PodIP: p.Stack().IPAddr()},
-	}
-	slotOf := make(map[sockRef]int)
-	for i, s := range p.Stack().Sockets() {
-		slotOf[s] = i
-	}
-	procs := p.Procs()
-	pis := make([]ProcImage, len(procs))
-	marks := make(map[vos.PID]uint64, len(procs))
-	markAt := make([]uint64, len(procs))
-	if err := fanOut(len(procs), workers, func(i int) error {
-		pi, mark, err := captureProcLive(procs[i], slotOf)
-		if err != nil {
-			return err
-		}
-		pis[i] = pi
-		markAt[i] = mark
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	for i, proc := range procs {
-		marks[proc.VPID] = markAt[i]
-	}
-	img.Procs = pis
-	sortProcs(img.Procs)
-	return img, marks, nil
-}
-
 // PrecopyRecord is one record of a pre-copy chain: the base full image
 // (round 1), a round delta, or the residual delta captured at quiesce.
 type PrecopyRecord struct {
@@ -105,61 +36,29 @@ type PrecopyRecord struct {
 // Precopy drives one pod's iterative pre-copy checkpoint. BeginPrecopy
 // takes the live base snapshot; each Round re-copies what was dirtied
 // since the previous snapshot; Finalize captures the residual dirty set
-// and network state once the coordinator has quiesced the pod. The
-// emitted records chain exactly like an incremental base+delta chain:
-// record i carries Seq i and the CRC of record i-1, so
-// ReconstructChainFrom validates and restores the chain unchanged.
+// and network state once the coordinator has quiesced the pod.
+//
+// A round is a Tracker capture that commits at once, so the emitted
+// records chain exactly like an incremental base+delta chain: record i
+// carries Seq i and the CRC of record i-1, and ReconstructChainFrom
+// validates and restores the chain unchanged.
 type Precopy struct {
 	pod     *pod.Pod
-	workers int
-	marks   map[vos.PID]uint64
-	// lastProg fingerprints each process's program state in the last
-	// round, so unchanged program state is not re-sent.
-	lastProg map[vos.PID][]byte
-	last     *Image
-	records  []*PrecopyRecord
-	final    *Image
+	tr      Tracker
+	records []*PrecopyRecord
+	final   *Image
 }
 
 // BeginPrecopy snapshots the running pod's full memory at a watermark —
 // round 1 of the iteration — and returns the driver plus the base
 // record.
-func BeginPrecopy(p *pod.Pod, workers int) (*Precopy, *PrecopyRecord, error) {
-	img, marks, err := snapshotPod(p, workers)
+func BeginPrecopy(p *pod.Pod) (*Precopy, *PrecopyRecord, error) {
+	pc := &Precopy{pod: p}
+	rec, err := pc.Round()
 	if err != nil {
 		return nil, nil, err
 	}
-	encoded, err := img.Record()
-	if err != nil {
-		return nil, nil, err
-	}
-	pc := &Precopy{pod: p, workers: workers, marks: marks, last: img}
-	pc.lastProg = progFingerprints(img)
-	rec := &PrecopyRecord{Image: img, Record: encoded}
-	pc.records = append(pc.records, rec)
 	return pc, rec, nil
-}
-
-func progFingerprints(img *Image) map[vos.PID][]byte {
-	out := make(map[vos.PID][]byte, len(img.Procs))
-	for _, pi := range img.Procs {
-		out[pi.VPID] = pi.ProgData
-	}
-	return out
-}
-
-// dirtyNames lists, per live process, the regions written since the
-// previous round's watermark.
-func (pc *Precopy) dirtyNames() map[vos.PID]map[string]bool {
-	out := make(map[vos.PID]map[string]bool)
-	for _, proc := range pc.pod.Procs() {
-		names := make(map[string]bool)
-		for _, r := range proc.DirtyRegions(pc.marks[proc.VPID]) {
-			names[r.Name] = true
-		}
-		out[proc.VPID] = names
-	}
-	return out
 }
 
 // DirtyBytes reports the size of the dirty set accumulated since the
@@ -168,7 +67,7 @@ func (pc *Precopy) dirtyNames() map[vos.PID]map[string]bool {
 func (pc *Precopy) DirtyBytes() int64 {
 	var n int64
 	for _, proc := range pc.pod.Procs() {
-		n += proc.DirtyBytes(pc.marks[proc.VPID])
+		n += proc.DirtyBytes(pc.tr.marks[proc.VPID])
 	}
 	return n
 }
@@ -186,30 +85,32 @@ func (pc *Precopy) Records() []*PrecopyRecord { return pc.records }
 // have produced.
 func (pc *Precopy) FinalImage() *Image { return pc.final }
 
-// Round re-snapshots the running pod and emits a delta containing only
-// the state dirtied since the previous round.
+// Round snapshots the running pod and emits the next record: the full
+// base on the first round, afterwards a delta containing only the state
+// dirtied since the previous round. The network image is intentionally
+// empty: socket sequence numbers and buffer occupancy are inherently
+// quiesce-phase state, and restore always applies the final residual
+// record, whose Net — captured with the pod frozen and blocked — is
+// authoritative.
 func (pc *Precopy) Round() (*PrecopyRecord, error) {
-	img, marks, err := snapshotPod(pc.pod, pc.workers)
+	img, marks, err := capturePod(pc.pod, &netckpt.NetImage{PodIP: pc.pod.Stack().IPAddr()})
 	if err != nil {
 		return nil, err
 	}
-	return pc.push(img, marks, false)
+	return pc.commit(img, marks, false)
 }
 
 // Finalize captures the residual record with the pod quiesced and its
 // network blocked: the regions dirtied since the last round, every
-// process's registers/FD table, and the full network state. This — plus
+// process's registers/FD table, and the full network state — net when
+// the caller already took it, a fresh capture when nil. This — plus
 // socket drains — is the only work inside the suspend window.
-func (pc *Precopy) Finalize() (*PrecopyRecord, error) {
-	img, err := CheckpointPodWith(pc.pod, pc.workers)
+func (pc *Precopy) Finalize(net *netckpt.NetImage) (*PrecopyRecord, error) {
+	img, marks, err := captureFrozen(pc.pod, net)
 	if err != nil {
 		return nil, err
 	}
-	marks := make(map[vos.PID]uint64)
-	for _, proc := range pc.pod.Procs() {
-		marks[proc.VPID] = proc.MemClock()
-	}
-	rec, err := pc.push(img, marks, true)
+	rec, err := pc.commit(img, marks, true)
 	if err != nil {
 		return nil, err
 	}
@@ -217,19 +118,18 @@ func (pc *Precopy) Finalize() (*PrecopyRecord, error) {
 	return rec, nil
 }
 
-// push diffs img against the previous round, encodes and appends the
-// record, and advances the driver's watermarks.
-func (pc *Precopy) push(img *Image, marks map[vos.PID]uint64, final bool) (*PrecopyRecord, error) {
-	parentSum := pc.records[len(pc.records)-1].Stats().Sum
-	d := buildDelta(img, pc.last, pc.lastProg, pc.dirtyNames(), uint64(len(pc.records)), parentSum)
-	encoded, err := d.Record()
+// commit records one captured round through the tracker and advances
+// the chain to it at once.
+func (pc *Precopy) commit(img *Image, marks map[vos.PID]uint64, final bool) (*PrecopyRecord, error) {
+	pn, err := pc.tr.pending(pc.pod, img, marks, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := &PrecopyRecord{Delta: d, Final: final, Record: encoded}
+	pn.Commit()
+	rec := &PrecopyRecord{Delta: pn.Delta, Final: final, Record: pn.Record}
+	if pn.Full() {
+		rec.Image = img
+	}
 	pc.records = append(pc.records, rec)
-	pc.marks = marks
-	pc.lastProg = progFingerprints(img)
-	pc.last = img
 	return rec, nil
 }

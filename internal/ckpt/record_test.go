@@ -100,7 +100,7 @@ func TestRecordReplayMatchesDirectEncode(t *testing.T) {
 	}
 	kinds = append(kinds, kind{"incremental delta", delta.Record, delta.Delta.EncodeStream})
 
-	pc, base, err := BeginPrecopy(p, 2)
+	pc, base, err := BeginPrecopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRecordReplayMatchesDirectEncode(t *testing.T) {
 	}
 	kinds = append(kinds, kind{"pre-copy round", round.Record, round.Delta.EncodeStream})
 	touchHot(p, 3)
-	residual, err := pc.Finalize()
+	residual, err := pc.Finalize(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/coord"
@@ -149,11 +150,12 @@ type Options struct {
 	// Drive deadline. Zero selects DefaultCheckpointTimeout; negative
 	// disables the watchdog.
 	Timeout sim.Duration
-	// Workers is the per-agent serialization pool width: the standalone
-	// checkpoint fans per-process capture and encoding across this many
-	// goroutines, and the modeled memory-copy time divides by the
-	// effective parallelism min(Workers, processes). 0 keeps the
-	// sequential walk; negative selects one worker per host CPU.
+	// Workers is the per-agent modeled serialization width: the modeled
+	// memory-copy time of the standalone checkpoint divides by the
+	// effective parallelism min(Workers, processes), and the trace shows
+	// the matching worker lanes. Capture itself runs sequentially on the
+	// host, so records are identical at any width. 0 models the
+	// sequential walk; negative selects one modeled worker per host CPU.
 	Workers int
 	// Incr, when non-nil, switches the standalone checkpoint to
 	// incremental mode through the given tracker set: a generation
@@ -240,7 +242,7 @@ func effWorkers(w int) int {
 		return 1
 	}
 	if w < 0 {
-		return ckpt.DefaultWorkers()
+		return runtime.GOMAXPROCS(0)
 	}
 	return w
 }
@@ -613,7 +615,7 @@ type ckptAgent struct {
 	saTime      sim.Duration
 	img         *ckpt.Image
 	rec         *ckpt.Record  // the record to flush, encoded once at capture; its Stats size the copy
-	pend        *ckpt.Pending // incremental mode only; committed on success
+	pend        *ckpt.Pending // stop-and-copy and incremental modes; committed on success
 	pre         *ckpt.Precopy // pre-copy mode only
 	preResent   int64         // bytes re-copied by live rounds after the base
 	preRounds   int           // live rounds taken (base included)
@@ -628,6 +630,9 @@ type ckptAgent struct {
 	preSpan     *trace.Span // ckpt/precopy, open across the live rounds
 	qSpan       *trace.Span // ckpt/quiesce
 	saSpan      *trace.Span // ckpt/serialize
+	// net is step 2's network-state checkpoint, reused by the
+	// standalone capture (the pod stays suspended and blocked between).
+	net *netckpt.NetImage
 }
 
 func (op *ckptOp) abort(err error) {
@@ -774,7 +779,7 @@ func (a *ckptAgent) precopyBase() {
 	a.preSpan = a.op.m.tr.Start(a.span, "ckpt/precopy",
 		trace.I64("max_rounds", int64(popts.maxRounds())),
 		trace.I64("converge_bytes", popts.convergeBytes()))
-	pre, rec, err := ckpt.BeginPrecopy(a.pod, workers)
+	pre, rec, err := ckpt.BeginPrecopy(a.pod)
 	if err != nil {
 		a.op.abort(err)
 		return
@@ -895,16 +900,7 @@ func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error
 	}
 	fSpan := a.op.m.tr.Start(a.preSpan, "store/flush",
 		trace.Track(a.pod.Name()), trace.Str("path", path))
-	wc, err := a.op.m.store.Create(path)
-	if err == nil {
-		if _, serr := rec.Stream(wc); serr != nil {
-			wc.Close()
-			err = serr
-		} else {
-			err = wc.Close()
-		}
-	}
-	if err != nil {
+	if err := a.op.m.writeRecord(path, rec.Record); err != nil {
 		fSpan.End(trace.Str("err", err.Error()))
 		return err
 	}
@@ -922,6 +918,7 @@ func (a *ckptAgent) netCheckpoint() {
 		a.op.abort(err)
 		return
 	}
+	a.net = netImg
 	a.netBytes = netImg.Bytes()
 	a.queueLen = netImg.QueueBytes()
 	nSpan := a.op.m.tr.Start(a.span, "ckpt/net-ckpt",
@@ -967,7 +964,7 @@ func (a *ckptAgent) standalone() {
 	costs := w.Costs
 	workers := effWorkers(a.op.opts.Workers)
 	if a.pre != nil {
-		rec, err := a.pre.Finalize()
+		rec, err := a.pre.Finalize(a.net)
 		if err != nil {
 			a.op.abort(err)
 			return
@@ -994,43 +991,34 @@ func (a *ckptAgent) standalone() {
 		})
 		return
 	}
-	var img *ckpt.Image
+	// The record is encoded once, here: its size and peak buffering are
+	// needed now, and the flush replays the same bytes later. A
+	// stop-and-copy checkpoint is the full generation of a tracker
+	// nothing chains to.
+	var err error
 	if a.op.opts.Incr != nil {
-		pend, err := a.op.opts.Incr.Capture(a.pod, workers)
-		if err != nil {
-			a.op.abort(err)
-			return
-		}
-		a.pend = pend
-		a.rec = pend.Record
-		img = pend.Image
+		a.pend, err = a.op.opts.Incr.Capture(a.pod, a.net)
 	} else {
-		var err error
-		img, err = ckpt.CheckpointPodWith(a.pod, workers)
-		if err != nil {
-			a.op.abort(err)
-			return
-		}
-		// Encode the record once, here: its size and peak buffering are
-		// needed now, and the flush replays the same bytes later.
-		if a.rec, err = img.Record(); err != nil {
-			a.op.abort(err)
-			return
-		}
+		a.pend, err = ckpt.NewTracker().Capture(a.pod, a.net, true)
 	}
-	a.img = img
+	if err != nil {
+		a.op.abort(err)
+		return
+	}
+	a.rec = a.pend.Record
+	a.img = a.pend.Image
 	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
 		trace.I64("workers", int64(workers)),
-		trace.I64("incremental", b2i(a.pend != nil && !a.pend.Full())))
+		trace.I64("incremental", b2i(!a.pend.Full())))
 	saStart := w.Now()
 	// The copy cost covers what is actually written — the delta record
-	// in incremental mode — and divides by the effective serialization
-	// parallelism (per-process capture fans out across the pool). The
-	// fixed and copy components stay separate so the modeled worker
-	// lanes can start where the fixed prologue ends.
+	// in incremental mode — and divides by the modeled serialization
+	// parallelism (Workers, bounded by the process count). The fixed and
+	// copy components stay separate so the modeled worker lanes can
+	// start where the fixed prologue ends.
 	bytes := costs.EffImageBytes(a.rec.Stats().Bytes)
 	fixed := w.Jitter(costs.CheckpointFixed, 0.25)
-	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(img.Procs))
+	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
 	w.After(cost, func() {
 		if a.op.aborted {
 			return
@@ -1257,7 +1245,7 @@ func (op *ckptOp) flushAgent(ag *ckptAgent) {
 	path := fmt.Sprintf("%s/%s.%s", op.opts.FlushTo, ag.img.PodName, ext)
 	fSpan := op.m.tr.Start(op.span, "store/flush",
 		trace.Track(ag.img.PodName), trace.Str("path", path))
-	if err := op.flushRecord(path, ag); err != nil {
+	if err := op.m.writeRecord(path, ag.rec); err != nil {
 		op.result.Err = err
 		fSpan.End(trace.Str("err", err.Error()))
 	} else {
@@ -1329,13 +1317,14 @@ func (op *ckptOp) finishOK() {
 	op.onDone(op.result)
 }
 
-// flushRecord replays one agent's record into the manager's store.
-func (op *ckptOp) flushRecord(path string, ag *ckptAgent) error {
-	wc, err := op.m.store.Create(path)
+// writeRecord replays one record into a new file of the manager's
+// store, closing the file on the error path too.
+func (m *Manager) writeRecord(path string, rec *ckpt.Record) error {
+	wc, err := m.store.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err = ag.rec.Stream(wc); err != nil {
+	if _, err = rec.Stream(wc); err != nil {
 		wc.Close()
 		return err
 	}

@@ -182,3 +182,80 @@ func TestRemoteIsWriteOnly(t *testing.T) {
 		t.Fatalf("List: %v", got)
 	}
 }
+
+// feedConn returns a server connection parser over a fresh memfs-backed
+// store, detached from any socket: feed is driven directly.
+func feedConn() (*serverConn, *memfs.FS) {
+	fs := memfs.New()
+	return &serverConn{srv: &Server{local: NewFS(fs)}}, fs
+}
+
+// streamOf frames payload chunks as a client does: the path header,
+// one length-prefixed frame per chunk, then the zero terminator.
+func streamOf(path string, chunks ...[]byte) []byte {
+	b := putUvarint(nil, uint64(len(path)))
+	b = append(b, path...)
+	for _, c := range chunks {
+		b = putUvarint(b, uint64(len(c)))
+		b = append(b, c...)
+	}
+	return putUvarint(b, 0)
+}
+
+// TestServerFeedHugeFrameLength pins that a frame length of 2^63 or more
+// from the wire is held as outstanding bytes instead of being converted
+// to a negative int and panicking the server.
+func TestServerFeedHugeFrameLength(t *testing.T) {
+	c, _ := feedConn()
+	data := putUvarint(nil, 3)
+	data = append(data, "a/b"...)
+	data = putUvarint(data, 1<<63)
+	data = append(data, 'x')
+	if err := c.feed(data); err != nil {
+		t.Fatal(err)
+	}
+	if c.state != stPayload || c.need != 1<<63-1 {
+		t.Fatalf("state %d, need %d: want the payload run open with 2^63-1 bytes to go", c.state, c.need)
+	}
+}
+
+// FuzzServerFeed feeds arbitrary bytes to the remote-store server's
+// stream parser, whole and split in two at an arbitrary point. It must
+// never panic, and where the stream lands must not depend on how the
+// network cut it: the same verdict, the same committed image.
+func FuzzServerFeed(f *testing.F) {
+	f.Add(streamOf("g/pod.img", []byte("0123456789"), bytes.Repeat([]byte{7}, 300)), uint(5))
+	f.Add(streamOf("g/pod.img"), uint(0))
+	f.Add(append(streamOf("a/b", []byte("x")), 'y'), uint(3))
+	huge := append(putUvarint(append(putUvarint(nil, 3), "a/b"...), 1<<63), 'x')
+	f.Add(huge, uint(4))
+	f.Add(putUvarint(nil, maxRemotePath+1), uint(1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint(2))
+	f.Fuzz(func(t *testing.T, data []byte, split uint) {
+		whole, wholeFS := feedConn()
+		wholeErr := whole.feed(data)
+		k := int(split % uint(len(data)+1))
+		parts, partsFS := feedConn()
+		partsErr := parts.feed(data[:k])
+		if partsErr == nil {
+			partsErr = parts.feed(data[k:])
+		}
+		if (wholeErr == nil) != (partsErr == nil) {
+			t.Fatalf("whole feed: %v; split at %d: %v", wholeErr, k, partsErr)
+		}
+		if wholeErr != nil {
+			return
+		}
+		got, want := parts.srv.Received(), whole.srv.Received()
+		if len(got) != len(want) {
+			t.Fatalf("committed %v split, %v whole", got, want)
+		}
+		for i, p := range want {
+			a, errA := wholeFS.ReadFile(p)
+			b, errB := partsFS.ReadFile(p)
+			if got[i] != p || errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("image %q differs between whole and split feeds", p)
+			}
+		}
+	})
+}

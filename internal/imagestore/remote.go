@@ -354,10 +354,7 @@ func (c *serverConn) feed(data []byte) error {
 			c.need = v
 			c.state = stPayload
 		case stPath:
-			take := int(c.need)
-			if take > len(data) {
-				take = len(data)
-			}
+			take := c.take(len(data))
 			c.path = append(c.path, data[:take]...)
 			data = data[take:]
 			c.need -= uint64(take)
@@ -370,10 +367,7 @@ func (c *serverConn) feed(data []byte) error {
 				c.state = stFrameLen
 			}
 		case stPayload:
-			take := int(c.need)
-			if take > len(data) {
-				take = len(data)
-			}
+			take := c.take(len(data))
 			if _, err := c.wc.Write(data[:take]); err != nil {
 				return err
 			}
@@ -387,6 +381,16 @@ func (c *serverConn) feed(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// take reports how many of the n bytes at hand belong to the current
+// path or payload run. The comparison stays in uint64: a length from
+// the wire of 2^63 or more would turn negative as an int.
+func (c *serverConn) take(n int) int {
+	if c.need < uint64(n) {
+		return int(c.need)
+	}
+	return n
 }
 
 func putUvarint(b []byte, v uint64) []byte {

@@ -28,7 +28,9 @@ type CkptBenchRecord struct {
 	Seed  int64 `json:"seed"`
 	Pods  int   `json:"pods"`
 	Procs int   `json:"procs"`
-	// Workers is the parallel pool width used for the parallel arm.
+	// Workers is the modeled serialization width of the parallel arm
+	// (capture runs sequentially on the host; only the sim cost model
+	// sees this width).
 	Workers int `json:"workers"`
 
 	// SeqSimMs and ParSimMs are the modeled coordinated-checkpoint

@@ -94,8 +94,9 @@ type Policy struct {
 	// FullEvery-th generation is a full image (default 4; only
 	// meaningful with Incremental).
 	FullEvery int
-	// Workers is the serialization worker-pool width handed to the
-	// coordinated operations (0 = sequential).
+	// Workers is the modeled serialization width handed to the
+	// coordinated operations (0 = sequential); see core.Options.Workers.
+	// Capture runs sequentially on the host at any width.
 	Workers int
 	// StopAndCopy forces classic stop-and-copy checkpoints. By default
 	// non-incremental periodic checkpoints run in pre-copy mode — the

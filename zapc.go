@@ -132,8 +132,10 @@ type (
 )
 
 // Parallel + incremental checkpoint pipeline (see internal/ckpt). The
-// worker-pool width is selected per checkpoint with
-// CheckpointOptions.Workers (0 = sequential, <0 = one per host CPU);
+// modeled serialization width is selected per checkpoint with
+// CheckpointOptions.Workers (0 = sequential, <0 = one per host CPU): it
+// divides the modeled copy time, while capture itself runs sequentially
+// on the host and its records are identical at any width;
 // incremental base+delta capture is enabled by handing the same IncrSet
 // to successive checkpoints via CheckpointOptions.Incr, or by setting
 // SupervisorPolicy.Incremental:
